@@ -22,6 +22,7 @@ from .scenario import (
     ScenarioConfig,
     apply_assignments,
     default_scenario,
+    fmt,
     parse_config,
     stream_seed,
 )
@@ -33,8 +34,14 @@ class CliError(Exception):
     """Usage or I/O problem that should end the process with a nonzero status."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+def _check_numbers(args: argparse.Namespace) -> None:
+    """Reject out-of-range numeric options before any side effect."""
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
+    if args.iterations < 1:
+        raise CliError(f"--iterations must be positive, got {args.iterations}")
+    if getattr(args, "trials", 1) < 1:
+        raise CliError(f"--trials must be positive, got {args.trials}")
 
 
 def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
@@ -84,7 +91,7 @@ def _tour_text(order: tuple[int, ...]) -> str:
 
 
 def _trace_text(result: RlsResult) -> str:
-    lines = [f"{i + 1},{_fmt(c)}" for i, c in enumerate(result.cost_trace)]
+    lines = [f"{i + 1},{fmt(c)}" for i, c in enumerate(result.cost_trace)]
     return "\n".join(lines) + "\n"
 
 
@@ -98,7 +105,10 @@ def _plan(cfg: ScenarioConfig, strategy: str, iterations: int) -> tuple[TourInst
 def _cmd_plan(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    _, result = _plan(cfg, args.strategy, args.iterations)
+    try:
+        _, result = _plan(cfg, args.strategy, args.iterations)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     _write(out / "tour.txt", _tour_text(result.best_tour.order))
     _write(out / "cost_trace.csv", _trace_text(result))
     summary = (
@@ -106,8 +116,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         f"iterations={args.iterations}\n"
         f"seed={cfg.seed}\n"
         f"N={cfg.n_sheep}\n"
-        f"initial_cost={_fmt(result.initial_cost)}\n"
-        f"final_cost={_fmt(result.best_cost)}\n"
+        f"initial_cost={fmt(result.initial_cost)}\n"
+        f"final_cost={fmt(result.best_cost)}\n"
     )
     _write(out / "plan_summary.txt", summary)
     return 0
@@ -116,10 +126,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _trajectory_text(record: RunRecord) -> str:
     lines = []
     for k in range(record.k_end + 1):
-        row = [str(k), _fmt(record.dog_trace[k, 0]), _fmt(record.dog_trace[k, 1])]
+        row = [str(k), fmt(record.dog_trace[k, 0]), fmt(record.dog_trace[k, 1])]
         for sx, sy in record.sheep_traces[k]:
-            row.append(_fmt(sx))
-            row.append(_fmt(sy))
+            row.append(fmt(sx))
+            row.append(fmt(sy))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -140,7 +150,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError(f"unknown method {args.method!r}, expected one of {', '.join(ALL_METHODS)}")
     cfg = _load_scenario(args)
     out = _out_dir(args)
-    outcome = run_trial(cfg, [args.method], base_seed=cfg.seed, trial=0, iterations=args.iterations)[args.method]
+    try:
+        outcome = run_trial(cfg, [args.method], base_seed=cfg.seed, trial=0, iterations=args.iterations)[args.method]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     record = outcome.run
     _write(out / "trajectory.csv", _trajectory_text(record))
     _write(out / "phases.csv", _phases_text(record))
@@ -149,12 +162,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"seed={cfg.seed}\n"
         f"success={int(record.success)}\n"
         f"k_end={record.k_end}\n"
-        f"total_distance={_fmt(record.total_distance)}\n"
+        f"total_distance={fmt(record.total_distance)}\n"
     )
     if outcome.plan is not None:
         summary += (
-            f"tour_cost_initial={_fmt(outcome.plan.initial_cost)}\n"
-            f"tour_cost_final={_fmt(outcome.plan.best_cost)}\n"
+            f"tour_cost_initial={fmt(outcome.plan.initial_cost)}\n"
+            f"tour_cost_final={fmt(outcome.plan.best_cost)}\n"
         )
     _write(out / "run_summary.txt", summary)
     return 0
@@ -174,12 +187,12 @@ def _parse_grid(raw: str) -> list[tuple[int, float]]:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     cfg = _load_scenario(args)
-    out = _out_dir(args)
     grid = _parse_grid(args.grid) if args.grid else [(cfg.n_sheep, cfg.rho)]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in ALL_METHODS:
             raise CliError(f"unknown method {m!r}, expected one of {', '.join(ALL_METHODS)}")
+    out = _out_dir(args)
     try:
         strategies = [method_strategy(m) for m in methods if m != METHOD_FAT]
         records, summaries = run_batch(
@@ -239,6 +252,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

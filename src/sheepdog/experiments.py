@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from .guidance import RunRecord, run_fat, run_proposed
 from .placement import prepare_start_state
 from .routing import RlsConfig, RlsResult, TourInstance, rls_optimize
-from .scenario import ScenarioConfig, stream_seed
+from .scenario import ScenarioConfig, fmt, stream_seed
 
 METHOD_FAT = "fat"
 
@@ -161,10 +161,6 @@ def summarize(records: list[TrialRecord]) -> list[BatchSummary]:
     return summaries
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def records_csv(records: list[TrialRecord]) -> str:
     """Per-trial table; tour cost fields are empty for the baseline."""
     lines = ["N,rho,trial,method,success,k_end,J,tour_cost_initial,tour_cost_final"]
@@ -173,14 +169,14 @@ def records_csv(records: list[TrialRecord]) -> str:
             ",".join(
                 (
                     str(r.n),
-                    _fmt(r.rho),
+                    fmt(r.rho),
                     str(r.trial),
                     r.method,
                     str(int(r.success)),
                     str(r.k_end),
-                    _fmt(r.total_distance),
-                    "" if r.tour_cost_initial is None else _fmt(r.tour_cost_initial),
-                    "" if r.tour_cost_final is None else _fmt(r.tour_cost_final),
+                    fmt(r.total_distance),
+                    "" if r.tour_cost_initial is None else fmt(r.tour_cost_initial),
+                    "" if r.tour_cost_final is None else fmt(r.tour_cost_final),
                 )
             )
         )
@@ -194,12 +190,12 @@ def summary_csv(summaries: list[BatchSummary]) -> str:
             ",".join(
                 (
                     str(s.n),
-                    _fmt(s.rho),
+                    fmt(s.rho),
                     s.method,
                     str(s.trials),
-                    _fmt(s.success_rate),
-                    _fmt(s.mean_distance_successes),
-                    _fmt(s.mean_distance_all),
+                    fmt(s.success_rate),
+                    fmt(s.mean_distance_successes),
+                    fmt(s.mean_distance_all),
                 )
             )
         )

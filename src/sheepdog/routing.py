@@ -3,7 +3,11 @@
 The cost of a visiting order is the length of the open path that starts
 at the dog, passes every sheep in order, and ends at the goal. Orders
 are improved by randomized local search: propose one mutation per
-iteration and keep it whenever it is not worse.
+iteration and keep it whenever it is not worse. Each mutation changes at
+most four edges, so a candidate whose O(1) change in cost is clearly
+positive is rejected without being built; any candidate near acceptance
+is built and its full path re-summed, so results are bit-identical to
+re-summing every candidate.
 """
 from __future__ import annotations
 
@@ -127,11 +131,38 @@ def jump_insert(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     return tuple(lst)
 
 
+# Cost changes of the moves at positions a < b. path holds table nodes:
+# the dog, the sheep in visiting order, the goal; so order position i is
+# path[i + 1]. Only the edges a move replaces enter the sum.
+
+def _reverse_delta(t: list[list[float]], path: list[int], a: int, b: int) -> float:
+    p, x, y, q = path[a], path[a + 1], path[b + 1], path[b + 2]
+    return t[p][y] + t[x][q] - t[p][x] - t[y][q]
+
+def _exchange_delta(t: list[list[float]], path: list[int], a: int, b: int) -> float:
+    if b == a + 1:  # swapping neighbours reverses a segment of two
+        return _reverse_delta(t, path, a, b)
+    p, x, xn, yp, y, q = path[a], path[a + 1], path[a + 2], path[b], path[b + 1], path[b + 2]
+    return t[p][y] + t[y][xn] + t[yp][x] + t[x][q] - t[p][x] - t[x][xn] - t[yp][y] - t[y][q]
+
+def _jump_delta(t: list[list[float]], path: list[int], a: int, b: int) -> float:
+    p, x, xn, y, q = path[a], path[a + 1], path[a + 2], path[b + 1], path[b + 2]
+    return t[p][xn] + t[y][x] + t[x][q] - t[p][x] - t[x][xn] - t[y][q]
+
+
+# strategy -> (move, its cost change)
 _KERNELS = {
-    "reverse": reverse_segment,
-    "exchange": exchange_positions,
-    "jump": jump_insert,
+    "reverse": (reverse_segment, _reverse_delta),
+    "exchange": (exchange_positions, _exchange_delta),
+    "jump": (jump_insert, _jump_delta),
 }
+
+# A candidate is rejected on its O(1) cost change only when that change
+# exceeds this fraction of the current cost. Both full path sums carry a
+# rounding error near (2N + 8) * 2**-53 * cost, orders of magnitude below.
+_REJECT_MARGIN = 1e-9
+# Position pairs are drawn this many at a time.
+_DRAW_CHUNK = 4096
 
 
 def _draw_positions(rng: np.random.Generator, n: int) -> tuple[int, int]:
@@ -143,6 +174,17 @@ def _draw_positions(rng: np.random.Generator, n: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _drawn_positions(rng: np.random.Generator, n: int, iterations: int):
+    """The pairs of _draw_positions, drawn in chunks from the same stream."""
+    highs = np.tile([n, n - 1], min(iterations, _DRAW_CHUNK))
+    for start in range(0, iterations, _DRAW_CHUNK):
+        k = min(_DRAW_CHUNK, iterations - start)
+        draws = rng.integers(0, highs[: 2 * k]).reshape(k, 2)
+        a, b = draws[:, 0], draws[:, 1]
+        b = b + (b >= a)
+        yield from zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
+
+
 def mutate(tour: Tour, strategy: str, rng: np.random.Generator) -> Tour:
     """One random mutation of tour; a single-sheep tour is returned unchanged."""
     if strategy not in _KERNELS:
@@ -150,7 +192,7 @@ def mutate(tour: Tour, strategy: str, rng: np.random.Generator) -> Tour:
     if tour.n < 2:
         return tour
     a, b = _draw_positions(rng, tour.n)
-    return Tour(_KERNELS[strategy](tour.order, a, b))
+    return Tour(_KERNELS[strategy][0](tour.order, a, b))
 
 
 def random_tour(n: int, rng: np.random.Generator) -> Tour:
@@ -174,23 +216,32 @@ def rls_optimize(
         raise ValueError(f"initial tour over {initial.n} sheep does not match instance of {instance.n}")
 
     table = _distance_table(instance)
-    kernel = _KERNELS[config.strategy]
+    move, delta = _KERNELS[config.strategy]
     order = initial.order
     cost = _path_cost(table, order)
     initial_cost = cost
-    trace = np.empty(config.iterations)
 
     n = instance.n
-    for it in range(config.iterations):
-        if n >= 2:
-            a, b = _draw_positions(rng, n)
-            candidate = Tour(kernel(order, a, b)).order
-            candidate_cost = _path_cost(table, candidate)
-            if candidate_cost <= cost:
-                order = candidate
-                cost = candidate_cost
-        trace[it] = cost
+    # The trace is piecewise constant: it changes only where a candidate
+    # is accepted, and accepted_at[i] is where costs[i] begins.
+    accepted_at = [0]
+    costs = [cost]
+    if n >= 2:
+        path = [0, *(i + 1 for i in order), n + 1]
+        margin = _REJECT_MARGIN * cost
+        for it, (a, b) in enumerate(_drawn_positions(rng, n, config.iterations)):
+            if delta(table, path, a, b) <= margin:
+                candidate = Tour(move(order, a, b)).order
+                candidate_cost = _path_cost(table, candidate)
+                if candidate_cost <= cost:
+                    order = candidate
+                    cost = candidate_cost
+                    path = [0, *(i + 1 for i in order), n + 1]
+                    margin = _REJECT_MARGIN * cost
+                    accepted_at.append(it)
+                    costs.append(cost)
 
+    trace = np.repeat(costs, np.diff([*accepted_at, config.iterations]))
     trace.setflags(write=False)
     return RlsResult(
         best_tour=Tour(order),

@@ -74,7 +74,8 @@ _CONFIG_KEYS = (
 )
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """A number as every config and output file prints it: 9 significant digits."""
     return f"{x:.9g}"
 
 
@@ -82,20 +83,20 @@ def dump_config(cfg: ScenarioConfig) -> str:
     """Render cfg in the key=value format accepted by parse_config."""
     values = {
         "N": str(cfg.n_sheep),
-        "rho": _fmt(cfg.rho),
-        "x_g": f"{_fmt(cfg.goal.center[0])},{_fmt(cfg.goal.center[1])}",
-        "g_r": _fmt(cfg.goal.radius),
-        "r_d": _fmt(cfg.dog.r_d),
+        "rho": fmt(cfg.rho),
+        "x_g": f"{fmt(cfg.goal.center[0])},{fmt(cfg.goal.center[1])}",
+        "g_r": fmt(cfg.goal.radius),
+        "r_d": fmt(cfg.dog.r_d),
         "T": str(cfg.horizon),
-        "x_d0": f"{_fmt(cfg.dog_start[0])},{_fmt(cfg.dog_start[1])}",
-        "r_s": _fmt(cfg.sheep.r_s),
-        "K_s1": _fmt(cfg.sheep.k_separation),
-        "K_s2": _fmt(cfg.sheep.k_alignment),
-        "K_s3": _fmt(cfg.sheep.k_cohesion),
-        "K_s4": _fmt(cfg.sheep.k_flight),
-        "K_d1": _fmt(cfg.dog.k_attraction),
-        "K_d2": _fmt(cfg.dog.k_repulsion),
-        "K_d3": _fmt(cfg.dog.k_goal_repulsion),
+        "x_d0": f"{fmt(cfg.dog_start[0])},{fmt(cfg.dog_start[1])}",
+        "r_s": fmt(cfg.sheep.r_s),
+        "K_s1": fmt(cfg.sheep.k_separation),
+        "K_s2": fmt(cfg.sheep.k_alignment),
+        "K_s3": fmt(cfg.sheep.k_cohesion),
+        "K_s4": fmt(cfg.sheep.k_flight),
+        "K_d1": fmt(cfg.dog.k_attraction),
+        "K_d2": fmt(cfg.dog.k_repulsion),
+        "K_d3": fmt(cfg.dog.k_goal_repulsion),
         "warmup_steps": str(cfg.warmup_steps),
     }
     return "".join(f"{key} = {values[key]}\n" for key in _CONFIG_KEYS)

@@ -146,12 +146,22 @@ def test_batch_tables(tmp_path):
         ["batch", "--grid", "x;y"],
         ["batch", "--grid", ";"],
         ["batch", "--methods", "banana"],
+        ["plan", "--iterations", "0"],
+        ["plan", "--seed", "-1"],
+        ["simulate", "--iterations", "0"],
+        ["simulate", "--seed", "-1"],
+        ["batch", "--iterations", "-5"],
+        ["batch", "--seed", "-1"],
+        ["batch", "--trials", "0"],
+        ["batch", "--trials", "-3"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
-    code = run_cli(argv + ["--out", str(tmp_path)])
+    out = tmp_path / "out"
+    code = run_cli(argv + ["--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ entry point

@@ -3,6 +3,9 @@ import numpy as np
 import pytest
 
 from sheepdog.routing import (
+    _KERNELS,
+    _distance_table,
+    _path_cost,
     BRUTE_FORCE_LIMIT,
     STRATEGIES,
     RlsConfig,
@@ -25,6 +28,12 @@ def box_instance(rng, n):
         rng.uniform(-100.0, 100.0, size=(n, 2)),
         rng.uniform(-100.0, 100.0, size=2),
     )
+
+
+def lattice_instance(rng, n):
+    # Few distinct integer points, so many tours and moves tie exactly.
+    pts = 10.0 * rng.integers(-2, 3, size=(n + 2, 2))
+    return TourInstance(pts[0], pts[1:-1], pts[-1])
 
 
 # --------------------------------------------------------------------- cost
@@ -200,6 +209,77 @@ def test_rls_hits_exact_optimum_on_tiny_instances(strategy):
         res = rls_optimize(inst, RlsConfig(strategy, iterations=10_000, seed=1000 + seed))
         hits += res.best_cost <= opt + 1e-9
     assert hits >= 95, f"{strategy}: optimum found in {hits}/100 instances"
+
+
+# ------------------------------------------- plain full re-sum oracle
+
+def _reference_rls(instance, config, initial=None):
+    """RLS that re-sums the full path of every candidate, one draw at a time."""
+    rng = np.random.default_rng(config.seed)
+    if initial is None:
+        initial = random_tour(instance.n, rng)
+    table = _distance_table(instance)
+    tour = initial
+    cost = _path_cost(table, tour.order)
+    initial_cost = cost
+    trace = np.empty(config.iterations)
+    for it in range(config.iterations):
+        candidate = mutate(tour, config.strategy, rng)
+        candidate_cost = _path_cost(table, candidate.order)
+        if candidate_cost <= cost:
+            tour = candidate
+            cost = candidate_cost
+        trace[it] = cost
+    return tour, cost, trace, initial, initial_cost
+
+
+def assert_matches_reference(instance, config, initial=None):
+    res = rls_optimize(instance, config, initial=initial)
+    tour, cost, trace, ref_initial, ref_initial_cost = _reference_rls(instance, config, initial)
+    assert res.initial_tour.order == ref_initial.order
+    assert res.initial_cost == ref_initial_cost
+    assert res.best_tour.order == tour.order
+    assert res.best_cost == cost
+    assert res.cost_trace.dtype == trace.dtype
+    assert res.cost_trace.tobytes() == trace.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 50])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_rls_matches_full_resum_oracle(strategy, n):
+    # 4500 iterations cross the boundary of one chunk of drawn positions.
+    for k, make in enumerate((box_instance, lattice_instance)):
+        rng = np.random.default_rng(1000 * n + k)
+        assert_matches_reference(make(rng, n), RlsConfig(strategy, iterations=4500, seed=n + k))
+    for iterations in (1, 7):
+        rng = np.random.default_rng(n)
+        assert_matches_reference(box_instance(rng, n), RlsConfig(strategy, iterations, seed=3))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_rls_matches_full_resum_oracle_from_given_tour(strategy):
+    rng = np.random.default_rng(71)
+    for make in (box_instance, lattice_instance):
+        inst = make(rng, 12)
+        initial = random_tour(12, rng)
+        assert_matches_reference(inst, RlsConfig(strategy, iterations=3000, seed=9), initial=initial)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_cost_change_equals_full_path_difference(strategy):
+    move, delta = _KERNELS[strategy]
+    rng = np.random.default_rng(83)
+    for _ in range(500):
+        n = int(rng.integers(2, 30))
+        make = box_instance if rng.random() < 0.5 else lattice_instance
+        inst = make(rng, n)
+        table = _distance_table(inst)
+        order = random_tour(n, rng).order
+        a, b = sorted(int(i) for i in rng.choice(n, size=2, replace=False))
+        path = [0, *(i + 1 for i in order), n + 1]
+        cost = _path_cost(table, order)
+        full = _path_cost(table, move(order, a, b)) - cost
+        assert abs(delta(table, path, a, b) - full) <= 1e-9 * cost
 
 
 # -------------------------------------------------------------- brute force

@@ -15,7 +15,7 @@ from .experiments import (
     run_trial,
     summarize,
 )
-from .flock import FlockState, SheepParams, flock_velocities, neighbor_set, sheep_velocity, step_flock
+from .flock import FlockState, SheepParams, flock_velocities, step_flock
 from .guidance import (
     GuidanceMode,
     GuidancePhase,
@@ -68,7 +68,6 @@ __all__ = [
     "initial_placement",
     "mutate",
     "nearest_to_dog",
-    "neighbor_set",
     "parse_config",
     "placement_radius",
     "prepare_start_state",
@@ -78,7 +77,6 @@ __all__ = [
     "run_fat",
     "run_proposed",
     "run_trial",
-    "sheep_velocity",
     "steering_command",
     "step_flock",
     "stream_seed",

@@ -192,6 +192,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     for m in methods:
         if m not in ALL_METHODS:
             raise CliError(f"unknown method {m!r}, expected one of {', '.join(ALL_METHODS)}")
+    for n, rho in grid:
+        try:
+            replace(cfg, n_sheep=n, rho=rho)
+        except ValueError as exc:
+            raise CliError(f"bad grid cell N={n}, rho={rho}: {exc}") from exc
     out = _out_dir(args)
     try:
         strategies = [method_strategy(m) for m in methods if m != METHOD_FAT]

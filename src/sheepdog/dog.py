@@ -42,7 +42,19 @@ class SteeringCommand:
 
 
 def _normalized_candidates(candidates: Iterable[int], n: int) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(c) for c in candidates)), dtype=int)
+    """Sorted distinct candidate indices as an int array, checked against n.
+
+    A 1-D int array that is already strictly increasing, such as the one
+    the guidance controller keeps per phase, is used as it is.
+    """
+    idx = candidates
+    if not (
+        isinstance(idx, np.ndarray)
+        and idx.dtype == int
+        and idx.ndim == 1
+        and np.all(idx[1:] > idx[:-1])
+    ):
+        idx = np.asarray(sorted(set(int(c) for c in candidates)), dtype=int)
     if idx.size == 0:
         raise ValueError("candidate set must not be empty")
     if idx[0] < 0 or idx[-1] >= n:
@@ -50,20 +62,27 @@ def _normalized_candidates(candidates: Iterable[int], n: int) -> np.ndarray:
     return idx
 
 
-def farthest_from(point: np.ndarray, candidates: Iterable[int], state: FlockState) -> int:
-    """Candidate sheep farthest from point; ties go to the smallest index."""
-    idx = _normalized_candidates(candidates, state.n)
-    diff = state.sheep_pos[idx] - np.asarray(point, dtype=float)
+def _farthest(idx: np.ndarray, point: np.ndarray, state: FlockState) -> int:
+    diff = state.sheep_pos[idx] - point
     dist = np.hypot(diff[:, 0], diff[:, 1])
     return int(idx[np.argmax(dist)])
 
 
-def nearest_to_dog(candidates: Iterable[int], state: FlockState) -> int:
-    """Candidate sheep nearest the dog; ties go to the smallest index."""
-    idx = _normalized_candidates(candidates, state.n)
+def _nearest(idx: np.ndarray, state: FlockState) -> int:
     diff = state.sheep_pos[idx] - state.dog_pos
     dist = np.hypot(diff[:, 0], diff[:, 1])
     return int(idx[np.argmin(dist)])
+
+
+def farthest_from(point: np.ndarray, candidates: Iterable[int], state: FlockState) -> int:
+    """Candidate sheep farthest from point; ties go to the smallest index."""
+    idx = _normalized_candidates(candidates, state.n)
+    return _farthest(idx, np.asarray(point, dtype=float), state)
+
+
+def nearest_to_dog(candidates: Iterable[int], state: FlockState) -> int:
+    """Candidate sheep nearest the dog; ties go to the smallest index."""
+    return _nearest(_normalized_candidates(candidates, state.n), state)
 
 
 def dog_velocity(
@@ -90,7 +109,7 @@ def approach_velocity(state: FlockState, params: DogParams, target: np.ndarray) 
     """Approach velocity toward target with the stand-off term over all sheep."""
     dog = state.dog_pos
     attraction = safe_unit(np.asarray(target, dtype=float) - dog)
-    nearest = nearest_to_dog(range(state.n), state)
+    nearest = _nearest(np.arange(state.n), state)
     off_nearest = dog - state.sheep_pos[nearest]
     repulsion = safe_unit(off_nearest) / clamped_norm(off_nearest) ** 2
     return params.k_attraction * attraction + params.k_repulsion * repulsion
@@ -109,7 +128,7 @@ def steering_command(
     """
     idx = _normalized_candidates(candidates, state.n)
     destination = np.asarray(destination, dtype=float)
-    tracked = farthest_from(destination, idx, state)
-    nearest = nearest_to_dog(idx, state)
+    tracked = _farthest(idx, destination, state)
+    nearest = _nearest(idx, state)
     v = dog_velocity(state, params, tracked, nearest, destination)
     return SteeringCommand(v_d=v, target_index=tracked, nearest_index=nearest)

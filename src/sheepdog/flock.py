@@ -5,6 +5,14 @@ inverse-square push away from nearby flockmates, alignment with their
 previous headings, a unit-vector pull toward them, and an inverse-square
 flight response away from the dog. Velocities are applied directly, so a
 sheep's displacement per step equals its velocity for that step.
+
+The neighbor test runs over all N x N pairs, but the three neighborhood
+terms are evaluated only for the P pairs inside r_s and summed per sheep
+with one ``np.bincount``. That gives the same bits as summing masked
+(N, N, 2) arrays along axis 1: both add each sheep's terms one at a time
+in ascending neighbor order starting from +0, and the masked-out terms a
+dense sum would add are exact zeros, which change no non-zero partial
+sum and leave a zero sum at +0.
 """
 from __future__ import annotations
 
@@ -13,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .vec import EPS, UNIT_X, as_point
+
+# One bincount bin per (sheep, column) of the pair terms.
+_TERM_COLUMNS = np.arange(6)
 
 
 @dataclass(frozen=True)
@@ -65,17 +76,6 @@ class FlockState:
         return self.sheep_pos.shape[0]
 
 
-def neighbor_set(i: int, state: FlockState, r_s: float) -> tuple[int, ...]:
-    """Indices of sheep within r_s of sheep i (boundary inclusive), excluding i."""
-    if not 0 <= i < state.n:
-        raise IndexError(f"sheep index {i} out of range for flock of {state.n}")
-    diff = state.sheep_pos - state.sheep_pos[i]
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    mask = dist <= r_s
-    mask[i] = False
-    return tuple(int(j) for j in np.nonzero(mask)[0])
-
-
 def flock_velocities(state: FlockState, params: SheepParams) -> np.ndarray:
     """Velocities for every sheep computed from the same state snapshot.
 
@@ -87,24 +87,22 @@ def flock_velocities(state: FlockState, params: SheepParams) -> np.ndarray:
     pos = state.sheep_pos
     n = state.n
 
-    diff = pos[None, :, :] - pos[:, None, :]  # diff[i, j] = x_j - x_i
-    dist = np.hypot(diff[..., 0], diff[..., 1])
+    x, y = pos[:, 0], pos[:, 1]
+    dist = np.hypot(x - x[:, None], y - y[:, None])  # dist[i, j] = |x_j - x_i|
     neighbors = dist <= params.r_s
     np.fill_diagonal(neighbors, False)
-    counts = neighbors.sum(axis=1)
-    denom = np.maximum(counts, 1).astype(float)[:, None]
+    pairs = np.flatnonzero(neighbors)  # row-major: j ascends within each i
+    i, j = np.divmod(pairs, n)
+    denom = np.maximum(np.bincount(i, minlength=n), 1).astype(float)[:, None]
 
-    clamped = np.maximum(dist, EPS)
-    toward = diff / clamped[..., None]
+    pair_dist = dist.ravel()[pairs]
+    clamped = np.maximum(pair_dist, EPS)[:, None]
+    toward = (pos[j] - pos[i]) / clamped
     away = -toward
-    coincident = (dist == 0.0)[..., None]
+    coincident = (pair_dist == 0.0)[:, None]
     if coincident.any():
         toward = np.where(coincident, UNIT_X, toward)
         away = np.where(coincident, UNIT_X, away)
-
-    mask = neighbors[..., None]
-    separation = (away / (clamped**2)[..., None] * mask).sum(axis=1) / denom
-    cohesion = (toward * mask).sum(axis=1) / denom
 
     prev = state.sheep_vel_prev
     prev_norm = np.hypot(prev[:, 0], prev[:, 1])
@@ -112,7 +110,15 @@ def flock_velocities(state: FlockState, params: SheepParams) -> np.ndarray:
     moving = prev_norm >= EPS
     if moving.any():
         headings[moving] = prev[moving] / prev_norm[moving, None]
-    alignment = (headings[None, :, :] * mask).sum(axis=1) / denom
+
+    # Columns: separation x/y, cohesion x/y, alignment x/y. bincount adds
+    # each bin's weights in input order, so sheep i sums over j ascending.
+    terms = np.hstack((away / clamped**2, toward, headings[j]))
+    keys = (i[:, None] * 6 + _TERM_COLUMNS).ravel()
+    sums = np.bincount(keys, weights=terms.ravel(), minlength=6 * n).reshape(n, 6)
+    separation = sums[:, 0:2] / denom
+    cohesion = sums[:, 2:4] / denom
+    alignment = sums[:, 4:6] / denom
 
     dog_diff = pos - state.dog_pos[None, :]
     dog_dist = np.hypot(dog_diff[:, 0], dog_diff[:, 1])
@@ -129,13 +135,6 @@ def flock_velocities(state: FlockState, params: SheepParams) -> np.ndarray:
         + params.k_cohesion * cohesion
         + params.k_flight * flight
     )
-
-
-def sheep_velocity(i: int, state: FlockState, params: SheepParams) -> np.ndarray:
-    """Velocity of sheep i for this step (row i of flock_velocities)."""
-    if not 0 <= i < state.n:
-        raise IndexError(f"sheep index {i} out of range for flock of {state.n}")
-    return flock_velocities(state, params)[i].copy()
 
 
 def step_flock(state: FlockState, params: SheepParams) -> FlockState:

@@ -70,71 +70,59 @@ def goal_reached(state: FlockState, goal: GoalSpec) -> bool:
     return bool(np.all(dist <= goal.radius))
 
 
-class _FatController:
-    """Constant final drive over the whole flock."""
-
-    def __init__(self, scenario: ScenarioConfig):
-        self._scenario = scenario
-        self._all = tuple(range(scenario.n_sheep))
-        self.phase = GuidancePhase(GuidanceMode.FINAL_DRIVE, 1, self._all)
-
-    def __call__(self, state: FlockState) -> tuple[GuidancePhase, np.ndarray]:
-        cmd = steering_command(state, self._scenario.dog, self._all, self._scenario.goal.center)
-        return self.phase, cmd.v_d
-
-
 class _TourController:
     """Phase machine for the tour-guided episode.
 
     Collection checks run against the current snapshot before the dog
     moves, so a collection changes the steering within the same step.
+    Started in FINAL_DRIVE over every sheep it is the drive-only baseline.
     """
 
-    def __init__(self, scenario: ScenarioConfig, tour: Tour):
+    def __init__(self, scenario: ScenarioConfig, order: tuple[int, ...], phase: GuidancePhase):
         self._scenario = scenario
-        self._tour = tour
-        self._all = tuple(range(scenario.n_sheep))
-        self.phase = GuidancePhase(GuidanceMode.APPROACH_FIRST, 1, ())
+        self._order = order
+        self._enter(phase)
+
+    def _enter(self, phase: GuidancePhase) -> None:
+        # The collected sheep (distinct, as a tour is a permutation), sorted
+        # once per phase, are the drive's candidates. Python's sorted keeps
+        # numpy's sort code, about 0.4 MB of resident pages, unloaded.
+        self.phase = phase
+        self._candidates = np.asarray(sorted(phase.collected), dtype=int)
+
+    def _collect(self, collected: tuple[int, ...]) -> None:
+        mode = (
+            GuidanceMode.FINAL_DRIVE
+            if len(collected) == len(self._order)
+            else GuidanceMode.PROVISIONAL_GATHER
+        )
+        self._enter(GuidancePhase(mode, self.phase.nu + 1, collected))
 
     def _advance(self, state: FlockState) -> None:
         phase = self.phase
-        order = self._tour.order
+        order = self._order
         pos = state.sheep_pos
         if phase.mode is GuidanceMode.APPROACH_FIRST:
-            first = order[0]
-            gap = pos[first] - state.dog_pos
+            gap = pos[order[0]] - state.dog_pos
             if np.hypot(gap[0], gap[1]) <= self._scenario.dog.r_d:
-                collected = (first,)
-                mode = (
-                    GuidanceMode.FINAL_DRIVE
-                    if len(collected) == len(order)
-                    else GuidanceMode.PROVISIONAL_GATHER
-                )
-                self.phase = GuidancePhase(mode, 2, collected)
+                self._collect((order[0],))
         elif phase.mode is GuidanceMode.PROVISIONAL_GATHER:
-            dest = pos[order[phase.nu - 1]]
-            diff = pos[list(phase.collected)] - dest
+            diff = pos[self._candidates] - pos[order[phase.nu - 1]]
             if np.all(np.hypot(diff[:, 0], diff[:, 1]) <= self._scenario.goal.radius):
-                collected = phase.collected + (order[phase.nu - 1],)
-                mode = (
-                    GuidanceMode.FINAL_DRIVE
-                    if len(collected) == len(order)
-                    else GuidanceMode.PROVISIONAL_GATHER
-                )
-                self.phase = GuidancePhase(mode, phase.nu + 1, collected)
+                self._collect(phase.collected + (order[phase.nu - 1],))
 
     def __call__(self, state: FlockState) -> tuple[GuidancePhase, np.ndarray]:
         self._advance(state)
         phase = self.phase
         scenario = self._scenario
         if phase.mode is GuidanceMode.APPROACH_FIRST:
-            target = state.sheep_pos[self._tour.order[0]]
+            target = state.sheep_pos[self._order[0]]
             return phase, approach_velocity(state, scenario.dog, target)
         if phase.mode is GuidanceMode.PROVISIONAL_GATHER:
-            destination = state.sheep_pos[self._tour.order[phase.nu - 1]]
-            cmd = steering_command(state, scenario.dog, phase.collected, destination)
-            return phase, cmd.v_d
-        cmd = steering_command(state, scenario.dog, self._all, scenario.goal.center)
+            destination = state.sheep_pos[self._order[phase.nu - 1]]
+        else:
+            destination = scenario.goal.center
+        cmd = steering_command(state, scenario.dog, self._candidates, destination)
         return phase, cmd.v_d
 
 
@@ -187,11 +175,14 @@ def _run_episode(scenario: ScenarioConfig, controller, initial_state: FlockState
 
 def run_fat(scenario: ScenarioConfig, initial_state: FlockState | None = None) -> RunRecord:
     """Drive-only baseline episode; no tour is needed."""
-    return _run_episode(scenario, _FatController(scenario), initial_state)
+    every = tuple(range(scenario.n_sheep))
+    controller = _TourController(scenario, every, GuidancePhase(GuidanceMode.FINAL_DRIVE, 1, every))
+    return _run_episode(scenario, controller, initial_state)
 
 
 def run_proposed(scenario: ScenarioConfig, tour: Tour, initial_state: FlockState | None = None) -> RunRecord:
     """Tour-guided episode: approach, gather sheep by sheep, then final drive."""
     if tour.n != scenario.n_sheep:
         raise ValueError(f"tour over {tour.n} sheep does not match scenario of {scenario.n_sheep}")
-    return _run_episode(scenario, _TourController(scenario, tour), initial_state)
+    controller = _TourController(scenario, tour.order, GuidancePhase(GuidanceMode.APPROACH_FIRST, 1, ()))
+    return _run_episode(scenario, controller, initial_state)

@@ -52,8 +52,8 @@ class ScenarioConfig:
         self.dog_start.setflags(write=False)
         if self.n_sheep < 1:
             raise ValueError("N must be at least 1")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
         if self.horizon < 0:
             raise ValueError("T must be non-negative")
         if self.warmup_steps < 0:

@@ -145,6 +145,10 @@ def test_batch_tables(tmp_path):
         ["simulate", "--method", "proposed:banana"],
         ["batch", "--grid", "x;y"],
         ["batch", "--grid", ";"],
+        ["batch", "--grid", "0;0.01"],
+        ["batch", "--grid", "5;-1"],
+        ["batch", "--grid", "5;nan"],
+        ["batch", "--grid", "5;inf"],
         ["batch", "--methods", "banana"],
         ["plan", "--iterations", "0"],
         ["plan", "--seed", "-1"],

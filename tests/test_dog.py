@@ -152,6 +152,13 @@ def test_steering_command_composes_selection_and_velocity():
     assert cmd.nearest_index == nearest_to_dog(set(range(6)), state)
     expected = dog_velocity(state, DEFAULTS, cmd.target_index, cmd.nearest_index, goal)
     assert np.allclose(cmd.v_d, expected, atol=1e-12)
+    # Index arrays, sorted or not, select the same sheep as the set.
+    for idx in (np.arange(6), np.array([5, 3, 3, 0, 1, 2, 4])):
+        same = steering_command(state, DEFAULTS, idx, goal)
+        assert (same.target_index, same.nearest_index) == (cmd.target_index, cmd.nearest_index)
+        assert same.v_d.tobytes() == cmd.v_d.tobytes()
+    with pytest.raises(IndexError):
+        steering_command(state, DEFAULTS, np.arange(7), goal)
 
 
 def test_params_validation():

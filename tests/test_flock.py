@@ -1,15 +1,19 @@
 """Sheep dynamics: neighbor sets, the four velocity terms, and step invariants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _flock_oracle import dense_flock_velocities, neighbor_set, sheep_velocity
+from sheepdog import flock, guidance
 from sheepdog.flock import (
     FlockState,
     SheepParams,
     flock_velocities,
-    neighbor_set,
-    sheep_velocity,
     step_flock,
 )
+from sheepdog.guidance import run_fat
+from sheepdog.placement import prepare_start_state
+from sheepdog.scenario import ScenarioConfig
 
 DEFAULTS = SheepParams()
 
@@ -60,21 +64,21 @@ def test_neighbor_set_rejects_bad_index():
 def test_lone_sheep_flees_dog():
     # Flight magnitude at distance 10 is K_s4 / 100 = 5, pointing away.
     state = make_state([[0.0, 0.0]], [0.0, 10.0])
-    v = sheep_velocity(0, state, DEFAULTS)
+    v = flock_velocities(state, DEFAULTS)[0]
     assert np.allclose(v, [0.0, -5.0], atol=1e-12)
 
 
 def test_lone_sheep_zero_flight_gain_is_still():
     state = make_state([[0.0, 0.0]], [0.0, 10.0])
     params = SheepParams(k_flight=0.0)
-    assert np.array_equal(sheep_velocity(0, state, params), np.zeros(2))
+    assert np.array_equal(flock_velocities(state, params)[0], np.zeros(2))
 
 
 def test_two_sheep_separation_cohesion_and_weak_flight():
     # Neighbor at distance 10: separation 100/100 pushes away, cohesion 2
     # pulls toward, net (1, 0). The dog 1000 away adds 500/1000^2 downward.
     state = make_state([[0.0, 0.0], [10.0, 0.0]], [0.0, 1000.0])
-    v = sheep_velocity(0, state, DEFAULTS)
+    v = flock_velocities(state, DEFAULTS)[0]
     assert np.allclose(v, [1.0, -5.0e-4], atol=1e-12)
 
 
@@ -85,7 +89,7 @@ def test_alignment_averages_previous_step_headings():
         vel_prev=[[0.0, 0.0], [3.0, 4.0]],
     )
     params = SheepParams(k_separation=0.0, k_cohesion=0.0, k_flight=0.0, k_alignment=0.5)
-    v = sheep_velocity(0, state, params)
+    v = flock_velocities(state, params)[0]
     assert np.allclose(v, [0.5 * 0.6, 0.5 * 0.8], atol=1e-12)
 
 
@@ -97,14 +101,14 @@ def test_alignment_skips_zero_norm_neighbors_but_counts_them():
         vel_prev=[[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]],
     )
     params = SheepParams(k_separation=0.0, k_cohesion=0.0, k_flight=0.0, k_alignment=1.0)
-    v = sheep_velocity(0, state, params)
+    v = flock_velocities(state, params)[0]
     assert np.allclose(v, [0.5, 0.0], atol=1e-12)
 
 
 def test_empty_neighborhood_with_zero_flight_gain_is_exactly_zero():
     state = make_state([[0.0, 0.0], [500.0, 0.0]], [300.0, 300.0])
     params = SheepParams(k_flight=0.0)
-    assert np.array_equal(sheep_velocity(0, state, params), np.zeros(2))
+    assert np.array_equal(flock_velocities(state, params)[0], np.zeros(2))
 
 
 def test_flock_velocities_matches_per_sheep_evaluation():
@@ -112,7 +116,57 @@ def test_flock_velocities_matches_per_sheep_evaluation():
     state = random_state(rng, n=12)
     vel = flock_velocities(state, DEFAULTS)
     for i in range(12):
-        assert np.allclose(vel[i], sheep_velocity(i, state, DEFAULTS), atol=1e-12)
+        assert vel[i].tobytes() == sheep_velocity(i, state, DEFAULTS).tobytes()
+
+
+# ------------------------------------------------- sparse kernel = dense oracle
+
+R_S = 20.0
+_coordinate = st.one_of(
+    st.integers(-3, 3).map(lambda k: k * R_S),  # lattice: pairs at exactly r_s
+    st.floats(-60.0, 60.0),
+)
+_point = st.tuples(_coordinate, _coordinate)
+_velocity_component = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+_gain = st.one_of(st.just(0.0), st.floats(0.0, 1000.0))
+
+
+@st.composite
+def flocks(draw):
+    n = draw(st.integers(1, 40))
+    # Fewer distinct points than sheep puts several sheep on one spot.
+    points = draw(st.lists(_point, min_size=1, max_size=n))
+    pos = draw(st.lists(st.sampled_from(points), min_size=n, max_size=n))
+    vel = draw(st.lists(st.tuples(_velocity_component, _velocity_component), min_size=n, max_size=n))
+    dog = draw(st.one_of(st.sampled_from(pos), _point))
+    params = SheepParams(R_S, *(draw(_gain) for _ in range(4)))
+    return make_state(pos, dog, vel_prev=vel), params
+
+
+@settings(max_examples=300, deadline=None)
+@given(flocks())
+def test_flock_velocities_are_bitwise_the_dense_oracle(flock_and_params):
+    state, params = flock_and_params
+    sparse = flock_velocities(state, params)
+    assert sparse.tobytes() == dense_flock_velocities(state, params).tobytes()
+
+
+def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):
+    cfg = ScenarioConfig(n_sheep=100, rho=0.0012, horizon=200)
+
+    def episode():
+        start = prepare_start_state(cfg)
+        return start, run_fat(cfg, start)
+
+    sparse_start, sparse = episode()
+    monkeypatch.setattr(flock, "flock_velocities", dense_flock_velocities)
+    monkeypatch.setattr(guidance, "flock_velocities", dense_flock_velocities)
+    dense_start, dense = episode()
+    assert sparse_start.sheep_pos.tobytes() == dense_start.sheep_pos.tobytes()
+    assert sparse.k_end == dense.k_end
+    assert sparse.sheep_traces.tobytes() == dense.sheep_traces.tobytes()
+    assert sparse.dog_trace.tobytes() == dense.dog_trace.tobytes()
+    assert sparse.total_distance == dense.total_distance
 
 
 # ------------------------------------------------------------------ stepping
@@ -190,7 +244,7 @@ def test_outputs_stay_finite_under_crowded_fuzzing():
 
 def test_coincident_dog_and_sheep_stays_finite():
     state = make_state([[1.0, 1.0]], [1.0, 1.0])
-    v = sheep_velocity(0, state, DEFAULTS)
+    v = flock_velocities(state, DEFAULTS)[0]
     assert np.all(np.isfinite(v))
     assert v[0] > 0.0 and v[1] == 0.0  # fallback repulsion points along +x
 

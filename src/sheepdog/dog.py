@@ -5,16 +5,23 @@ while an inverse-square term keeps the dog off the nearest candidate's
 back and a unit term pushes it away from the destination, so the dog
 ends up herding from the far side. The approach law is the same chase
 without the destination term, used to reach the first sheep of a tour.
+
+The laws work on Python floats, which costs far less per step than
+numpy 2-vectors and gives the same bits: a length is abs(complex(x, y)),
+which is the C library's hypot that np.hypot also calls (math.hypot
+rounds differently), and the stand-off square is float ** 2, the C
+library's pow that numpy's scalar power also calls.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .flock import FlockState
-from .vec import clamped_norm, safe_unit
+from .vec import EPS
 
 
 @dataclass(frozen=True)
@@ -41,48 +48,70 @@ class SteeringCommand:
     nearest_index: int
 
 
-def _normalized_candidates(candidates: Iterable[int], n: int) -> np.ndarray:
-    """Sorted distinct candidate indices as an int array, checked against n.
+@dataclass(frozen=True, eq=False)
+class _Candidates:
+    """Sorted distinct candidate indices checked against the flock size.
 
-    A 1-D int array that is already strictly increasing, such as the one
-    the guidance controller keeps per phase, is used as it is.
+    idx is None when every sheep is a candidate, so selection skips the
+    indexing.
     """
-    idx = candidates
-    if not (
-        isinstance(idx, np.ndarray)
-        and idx.dtype == int
-        and idx.ndim == 1
-        and np.all(idx[1:] > idx[:-1])
-    ):
-        idx = np.asarray(sorted(set(int(c) for c in candidates)), dtype=int)
+
+    idx: np.ndarray | None
+
+
+def _check_candidates(candidates: Iterable[int], n: int) -> _Candidates:
+    """Candidates as a checked set; the guidance controller builds one per phase."""
+    if isinstance(candidates, _Candidates):
+        return candidates
+    # Python's sorted keeps numpy's sort code, about 0.4 MB of resident pages, unloaded.
+    idx = np.asarray(sorted(set(int(c) for c in candidates)), dtype=int)
     if idx.size == 0:
         raise ValueError("candidate set must not be empty")
     if idx[0] < 0 or idx[-1] >= n:
         raise IndexError(f"candidate index out of range for flock of {n}")
-    return idx
+    return _Candidates(None if idx.size == n else idx)
 
 
-def _farthest(idx: np.ndarray, point: np.ndarray, state: FlockState) -> int:
-    diff = state.sheep_pos[idx] - point
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    return int(idx[np.argmax(dist)])
-
-
-def _nearest(idx: np.ndarray, state: FlockState) -> int:
-    diff = state.sheep_pos[idx] - state.dog_pos
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    return int(idx[np.argmin(dist)])
+def _select(state: FlockState, idx: np.ndarray | None, point, farthest: bool) -> int:
+    """Candidate farthest from (or nearest to) point; ties go to the smallest index."""
+    pos = state.sheep_pos if idx is None else state.sheep_pos[idx]
+    dist = np.hypot(pos[:, 0] - point[0], pos[:, 1] - point[1])
+    k = int(dist.argmax() if farthest else dist.argmin())
+    return k if idx is None else int(idx[k])
 
 
 def farthest_from(point: np.ndarray, candidates: Iterable[int], state: FlockState) -> int:
     """Candidate sheep farthest from point; ties go to the smallest index."""
-    idx = _normalized_candidates(candidates, state.n)
-    return _farthest(idx, np.asarray(point, dtype=float), state)
+    idx = _check_candidates(candidates, state.n).idx
+    return _select(state, idx, np.asarray(point, dtype=float).tolist(), True)
 
 
 def nearest_to_dog(candidates: Iterable[int], state: FlockState) -> int:
     """Candidate sheep nearest the dog; ties go to the smallest index."""
-    return _nearest(_normalized_candidates(candidates, state.n), state)
+    idx = _check_candidates(candidates, state.n).idx
+    return _select(state, idx, state.dog_pos.tolist(), False)
+
+
+def _unit(x: float, y: float) -> tuple[float, float, float]:
+    """Direction of (x, y) and its length clamped below by EPS; zero points along +x."""
+    try:
+        length = abs(complex(x, y))
+    except OverflowError:  # finite legs whose hypot exceeds the largest float
+        length = math.inf
+    clamped = max(length, EPS)
+    if length == 0.0:
+        return 1.0, 0.0, clamped
+    return x / clamped, y / clamped, clamped
+
+
+def _stand_off(params: DogParams, dog: list[float], sheep: list[float]) -> tuple[float, float]:
+    """Inverse-square push of the dog away from one sheep."""
+    ux, uy, clamped = _unit(dog[0] - sheep[0], dog[1] - sheep[1])
+    try:
+        square = clamped**2
+    except OverflowError:
+        square = math.inf
+    return params.k_repulsion * (ux / square), params.k_repulsion * (uy / square)
 
 
 def dog_velocity(
@@ -93,26 +122,25 @@ def dog_velocity(
     repel_point: np.ndarray,
 ) -> np.ndarray:
     """Drive velocity: chase tracked, stand off nearest, keep clear of repel_point."""
-    dog = state.dog_pos
-    attraction = safe_unit(state.sheep_pos[tracked] - dog)
-    off_nearest = dog - state.sheep_pos[nearest]
-    repulsion = safe_unit(off_nearest) / clamped_norm(off_nearest) ** 2
-    away_from_point = safe_unit(dog - np.asarray(repel_point, dtype=float))
-    return (
-        params.k_attraction * attraction
-        + params.k_repulsion * repulsion
-        + params.k_goal_repulsion * away_from_point
-    )
+    dog = state.dog_pos.tolist()
+    tx, ty = state.sheep_pos[tracked].tolist()
+    px, py = np.asarray(repel_point, dtype=float).tolist()
+    ax, ay, _ = _unit(tx - dog[0], ty - dog[1])
+    rx, ry = _stand_off(params, dog, state.sheep_pos[nearest].tolist())
+    gx, gy, _ = _unit(dog[0] - px, dog[1] - py)
+    ka, kg = params.k_attraction, params.k_goal_repulsion
+    return np.array((ka * ax + rx + kg * gx, ka * ay + ry + kg * gy))
 
 
 def approach_velocity(state: FlockState, params: DogParams, target: np.ndarray) -> np.ndarray:
     """Approach velocity toward target with the stand-off term over all sheep."""
-    dog = state.dog_pos
-    attraction = safe_unit(np.asarray(target, dtype=float) - dog)
-    nearest = _nearest(np.arange(state.n), state)
-    off_nearest = dog - state.sheep_pos[nearest]
-    repulsion = safe_unit(off_nearest) / clamped_norm(off_nearest) ** 2
-    return params.k_attraction * attraction + params.k_repulsion * repulsion
+    dog = state.dog_pos.tolist()
+    tx, ty = np.asarray(target, dtype=float).tolist()
+    ax, ay, _ = _unit(tx - dog[0], ty - dog[1])
+    nearest = _select(state, None, dog, False)
+    rx, ry = _stand_off(params, dog, state.sheep_pos[nearest].tolist())
+    ka = params.k_attraction
+    return np.array((ka * ax + rx, ka * ay + ry))
 
 
 def steering_command(
@@ -126,9 +154,9 @@ def steering_command(
     With all sheep as candidates and the goal as destination this is the
     classic farthest-agent-tracking drive.
     """
-    idx = _normalized_candidates(candidates, state.n)
+    idx = _check_candidates(candidates, state.n).idx
     destination = np.asarray(destination, dtype=float)
-    tracked = _farthest(idx, destination, state)
-    nearest = _nearest(idx, state)
+    tracked = _select(state, idx, destination.tolist(), True)
+    nearest = _select(state, idx, state.dog_pos.tolist(), False)
     v = dog_velocity(state, params, tracked, nearest, destination)
     return SteeringCommand(v_d=v, target_index=tracked, nearest_index=nearest)

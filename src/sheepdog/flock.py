@@ -7,12 +7,15 @@ flight response away from the dog. Velocities are applied directly, so a
 sheep's displacement per step equals its velocity for that step.
 
 The neighbor test runs over all N x N pairs, but the three neighborhood
-terms are evaluated only for the P pairs inside r_s and summed per sheep
-with one ``np.bincount``. That gives the same bits as summing masked
-(N, N, 2) arrays along axis 1: both add each sheep's terms one at a time
-in ascending neighbor order starting from +0, and the masked-out terms a
-dense sum would add are exact zeros, which change no non-zero partial
-sum and leave a zero sum at +0.
+terms are evaluated only for the P pairs inside r_s, with each pair's
+direction taken from the outer differences dx, dy that gave its
+distance. The terms fill one (7, P) matrix whose last row is all ones,
+and one ``np.bincount`` sums every row per sheep, so the same call
+counts the neighbours that divide the sums. That gives the same bits as
+summing masked (N, N, 2) arrays along axis 1: both add each sheep's
+terms one at a time in ascending neighbor order starting from +0, and
+the masked-out terms a dense sum would add are exact zeros, which change
+no non-zero partial sum and leave a zero sum at +0.
 """
 from __future__ import annotations
 
@@ -22,8 +25,8 @@ import numpy as np
 
 from .vec import EPS, UNIT_X, as_point
 
-# One bincount bin per (sheep, column) of the pair terms.
-_TERM_COLUMNS = np.arange(6)
+# Row offsets of the pair-term matrix, scaled by N into bincount bins.
+_TERM_ROWS = np.arange(7)[:, None]
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,17 @@ class FlockState:
         object.__setattr__(self, "dog_pos", as_point(self.dog_pos))
         self.dog_pos.setflags(write=False)
 
+    @classmethod
+    def _unchecked(cls, step: int, sheep_pos: np.ndarray, sheep_vel_prev: np.ndarray, dog_pos: np.ndarray) -> FlockState:
+        """Snapshot without the copies and checks, for the episode loop.
+
+        The caller passes fresh float arrays of matching shape that nobody
+        writes to, and checks finiteness itself when the episode ends.
+        """
+        state = object.__new__(cls)
+        vars(state).update(step=step, sheep_pos=sheep_pos, sheep_vel_prev=sheep_vel_prev, dog_pos=dog_pos)
+        return state
+
     @property
     def n(self) -> int:
         return self.sheep_pos.shape[0]
@@ -88,53 +102,55 @@ def flock_velocities(state: FlockState, params: SheepParams) -> np.ndarray:
     n = state.n
 
     x, y = pos[:, 0], pos[:, 1]
-    dist = np.hypot(x - x[:, None], y - y[:, None])  # dist[i, j] = |x_j - x_i|
+    dx = x - x[:, None]  # dx[i, j] = x_j - x_i
+    dy = y - y[:, None]
+    dist = np.hypot(dx, dy)
     neighbors = dist <= params.r_s
-    np.fill_diagonal(neighbors, False)
-    pairs = np.flatnonzero(neighbors)  # row-major: j ascends within each i
+    neighbors.flat[:: n + 1] = False
+    pairs = neighbors.ravel().nonzero()[0]  # row-major: j ascends within each i
     i, j = np.divmod(pairs, n)
-    denom = np.maximum(np.bincount(i, minlength=n), 1).astype(float)[:, None]
 
-    pair_dist = dist.ravel()[pairs]
-    clamped = np.maximum(pair_dist, EPS)[:, None]
-    toward = (pos[j] - pos[i]) / clamped
-    away = -toward
-    coincident = (pair_dist == 0.0)[:, None]
-    if coincident.any():
-        toward = np.where(coincident, UNIT_X, toward)
-        away = np.where(coincident, UNIT_X, away)
+    pair_dist = dist.take(pairs)
+    clamped = np.maximum(pair_dist, EPS)
+    # Rows: separation x/y, alignment x/y, cohesion x/y, neighbour count.
+    terms = np.empty((7, pairs.size))
+    toward = terms[4:6]
+    np.divide(dx.take(pairs), clamped, out=toward[0])
+    np.divide(dy.take(pairs), clamped, out=toward[1])
+    # away / clamped**2 with away = -toward: negating the divisor instead
+    # gives the same bits.
+    np.divide(toward, -(clamped**2), out=terms[0:2])
+    coincident = pair_dist == 0.0
+    if np.count_nonzero(coincident):
+        toward[:, coincident] = UNIT_X[:, None]
+        terms[0:2, coincident] = UNIT_X[:, None] / clamped[coincident] ** 2
 
-    prev = state.sheep_vel_prev
-    prev_norm = np.hypot(prev[:, 0], prev[:, 1])
-    headings = np.zeros_like(prev)
-    moving = prev_norm >= EPS
-    if moving.any():
-        headings[moving] = prev[moving] / prev_norm[moving, None]
+    prev = state.sheep_vel_prev.T
+    prev_norm = np.hypot(prev[0], prev[1])
+    headings = np.divide(prev, prev_norm, out=np.zeros((2, n)), where=prev_norm >= EPS)
+    headings.take(j, axis=1, out=terms[2:4])
+    terms[6] = 1.0
 
-    # Columns: separation x/y, cohesion x/y, alignment x/y. bincount adds
-    # each bin's weights in input order, so sheep i sums over j ascending.
-    terms = np.hstack((away / clamped**2, toward, headings[j]))
-    keys = (i[:, None] * 6 + _TERM_COLUMNS).ravel()
-    sums = np.bincount(keys, weights=terms.ravel(), minlength=6 * n).reshape(n, 6)
-    separation = sums[:, 0:2] / denom
-    cohesion = sums[:, 2:4] / denom
-    alignment = sums[:, 4:6] / denom
+    # One bincount sums every (row, sheep) bin, adding its weights in input
+    # order, so sheep i sums over j ascending.
+    keys = (_TERM_ROWS * n + i).ravel()
+    sums = np.bincount(keys, weights=terms.ravel(), minlength=7 * n).reshape(7, n)
+    weighted = sums[:6] / np.maximum(sums[6], 1.0)
+    ks, ka, kc = params.k_separation, params.k_alignment, params.k_cohesion
+    weighted *= np.array(((ks,), (ks,), (ka,), (ka,), (kc,), (kc,)))
 
-    dog_diff = pos - state.dog_pos[None, :]
-    dog_dist = np.hypot(dog_diff[:, 0], dog_diff[:, 1])
-    dog_clamped = np.maximum(dog_dist, EPS)
-    flee = dog_diff / dog_clamped[:, None]
-    dog_coincident = (dog_dist == 0.0)[:, None]
-    if dog_coincident.any():
-        flee = np.where(dog_coincident, UNIT_X, flee)
-    flight = flee / (dog_clamped**2)[:, None]
+    flight = pos - state.dog_pos
+    dog_dist = np.hypot(flight[:, 0], flight[:, 1])
+    dog_clamped = np.maximum(dog_dist, EPS)[:, None]
+    flight /= dog_clamped
+    dog_coincident = dog_dist == 0.0
+    if np.count_nonzero(dog_coincident):
+        flight[dog_coincident] = UNIT_X
+    flight /= dog_clamped**2
 
-    return (
-        params.k_separation * separation
-        + params.k_alignment * alignment
-        + params.k_cohesion * cohesion
-        + params.k_flight * flight
-    )
+    v = weighted[0:2] + weighted[2:4]
+    v += weighted[4:6]
+    return v.T + params.k_flight * flight  # laid out like sheep_pos
 
 
 def step_flock(state: FlockState, params: SheepParams) -> FlockState:

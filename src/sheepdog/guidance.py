@@ -6,6 +6,12 @@ sheep by sheep, holding the already collected group around the live
 position of the next sheep on the tour; when every sheep is collected it
 drives the whole flock to the goal. The baseline skips straight to the
 final drive over all sheep.
+
+A FlockState is validated at the episode's boundaries only: the start
+state is one, and the end state is rebuilt through the checked
+constructor, which raises if any value turned non-finite on the way (a
+non-finite position or velocity leaves every later position non-finite).
+The steps in between are unchecked snapshots.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dog import approach_velocity, steering_command
+from .dog import _check_candidates, approach_velocity, steering_command
 from .flock import FlockState, flock_velocities
 from .placement import prepare_start_state
 from .routing import Tour
@@ -66,8 +72,12 @@ class RunRecord:
 def goal_reached(state: FlockState, goal: GoalSpec) -> bool:
     """True when every sheep lies within the goal disk (boundary inclusive)."""
     diff = state.sheep_pos - goal.center
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    return bool(np.all(dist <= goal.radius))
+    return bool(np.hypot(diff[:, 0], diff[:, 1]).max() <= goal.radius)
+
+
+# Bound at import, so that swapping the module's FlockState name for a
+# wrapper (a tracer, say) leaves the per-step snapshots as they are.
+_snapshot = FlockState._unchecked
 
 
 class _TourController:
@@ -84,11 +94,9 @@ class _TourController:
         self._enter(phase)
 
     def _enter(self, phase: GuidancePhase) -> None:
-        # The collected sheep (distinct, as a tour is a permutation), sorted
-        # once per phase, are the drive's candidates. Python's sorted keeps
-        # numpy's sort code, about 0.4 MB of resident pages, unloaded.
+        # The collected sheep, checked once per phase, are the drive's candidates.
         self.phase = phase
-        self._candidates = np.asarray(sorted(phase.collected), dtype=int)
+        self._candidates = _check_candidates(phase.collected, len(self._order)) if phase.collected else None
 
     def _collect(self, collected: tuple[int, ...]) -> None:
         mode = (
@@ -107,8 +115,8 @@ class _TourController:
             if np.hypot(gap[0], gap[1]) <= self._scenario.dog.r_d:
                 self._collect((order[0],))
         elif phase.mode is GuidanceMode.PROVISIONAL_GATHER:
-            diff = pos[self._candidates] - pos[order[phase.nu - 1]]
-            if np.all(np.hypot(diff[:, 0], diff[:, 1]) <= self._scenario.goal.radius):
+            diff = pos[self._candidates.idx] - pos[order[phase.nu - 1]]
+            if np.hypot(diff[:, 0], diff[:, 1]).max() <= self._scenario.goal.radius:
                 self._collect(phase.collected + (order[phase.nu - 1],))
 
     def __call__(self, state: FlockState) -> tuple[GuidancePhase, np.ndarray]:
@@ -143,18 +151,15 @@ def _run_episode(scenario: ScenarioConfig, controller, initial_state: FlockState
             phase, v_dog = controller(state)
             phases.append(phase)
             v_sheep = flock_velocities(state, scenario.sheep)
-            state = FlockState(
-                step=state.step + 1,
-                sheep_pos=state.sheep_pos + v_sheep,
-                sheep_vel_prev=v_sheep,
-                dog_pos=state.dog_pos + v_dog,
-            )
+            state = _snapshot(state.step + 1, state.sheep_pos + v_sheep, v_sheep, state.dog_pos + v_dog)
             total += float(np.hypot(v_dog[0], v_dog[1]))
             dog_pts.append(state.dog_pos)
             sheep_pts.append(state.sheep_pos)
             if goal_reached(state, scenario.goal):
                 success = True
                 break
+        # The end state takes the checks that the steps skipped.
+        FlockState(step=state.step, sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)
 
     terminal = replace(controller.phase, mode=GuidanceMode.DONE) if success else controller.phase
     phases.append(terminal)

@@ -1,0 +1,67 @@
+"""Vector reference for the dog's steering laws, kept for tests only.
+
+These are the drive and approach laws written on numpy 2-vectors with
+`vec.safe_unit` and `vec.clamped_norm`; `dog.steering_command`,
+`dog.dog_velocity` and `dog.approach_velocity` must reproduce them bit
+for bit.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from sheepdog.dog import DogParams
+from sheepdog.flock import FlockState
+from sheepdog.vec import clamped_norm, safe_unit
+
+
+def _nearest(idx: np.ndarray, state: FlockState) -> int:
+    diff = state.sheep_pos[idx] - state.dog_pos
+    return int(idx[np.argmin(np.hypot(diff[:, 0], diff[:, 1]))])
+
+
+def _farthest(idx: np.ndarray, point: np.ndarray, state: FlockState) -> int:
+    diff = state.sheep_pos[idx] - point
+    return int(idx[np.argmax(np.hypot(diff[:, 0], diff[:, 1]))])
+
+
+def dog_velocity(
+    state: FlockState,
+    params: DogParams,
+    tracked: int,
+    nearest: int,
+    repel_point: np.ndarray,
+) -> np.ndarray:
+    """Drive velocity: chase tracked, stand off nearest, keep clear of repel_point."""
+    dog = state.dog_pos
+    attraction = safe_unit(state.sheep_pos[tracked] - dog)
+    off_nearest = dog - state.sheep_pos[nearest]
+    repulsion = safe_unit(off_nearest) / clamped_norm(off_nearest) ** 2
+    away_from_point = safe_unit(dog - np.asarray(repel_point, dtype=float))
+    return (
+        params.k_attraction * attraction
+        + params.k_repulsion * repulsion
+        + params.k_goal_repulsion * away_from_point
+    )
+
+
+def approach_velocity(state: FlockState, params: DogParams, target: np.ndarray) -> np.ndarray:
+    """Approach velocity toward target with the stand-off term over all sheep."""
+    dog = state.dog_pos
+    attraction = safe_unit(np.asarray(target, dtype=float) - dog)
+    nearest = _nearest(np.arange(state.n), state)
+    off_nearest = dog - state.sheep_pos[nearest]
+    repulsion = safe_unit(off_nearest) / clamped_norm(off_nearest) ** 2
+    return params.k_attraction * attraction + params.k_repulsion * repulsion
+
+
+def steering(
+    state: FlockState,
+    params: DogParams,
+    candidates: np.ndarray,
+    destination: np.ndarray,
+) -> tuple[np.ndarray, int, int]:
+    """(v_d, tracked, nearest) for sorted distinct candidate indices."""
+    destination = np.asarray(destination, dtype=float)
+    tracked = _farthest(candidates, destination, state)
+    nearest = _nearest(candidates, state)
+    return dog_velocity(state, params, tracked, nearest, destination), tracked, nearest

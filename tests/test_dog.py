@@ -1,7 +1,9 @@
 """Dog steering: target selection, the three-term control law, and approach."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import _dog_oracle as oracle
 from sheepdog.dog import (
     DogParams,
     approach_velocity,
@@ -159,6 +161,66 @@ def test_steering_command_composes_selection_and_velocity():
         assert same.v_d.tobytes() == cmd.v_d.tobytes()
     with pytest.raises(IndexError):
         steering_command(state, DEFAULTS, np.arange(7), goal)
+
+
+# ------------------------------------------------- float laws = vector oracle
+
+_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 10.0, -10.0]),  # shared values give +-0 offsets
+    st.floats(-1e-8, 1e-8),  # lengths below EPS
+    st.floats(-200.0, 200.0),
+)
+_point = st.tuples(_coordinate, _coordinate)
+_gain = st.one_of(st.just(0.0), st.floats(0.0, 2000.0))
+
+
+@st.composite
+def steering_cases(draw):
+    n = draw(st.integers(1, 12))
+    points = draw(st.lists(_point, min_size=1, max_size=n))
+    pos = draw(st.lists(st.sampled_from(points), min_size=n, max_size=n))
+    destination = draw(st.one_of(_point, st.sampled_from(pos)))
+    dog = draw(st.one_of(_point, st.sampled_from(pos), st.just(destination)))
+    destination = draw(st.one_of(st.just(destination), st.just(dog)))
+    params = DogParams(30.0, draw(_gain), draw(_gain), draw(_gain))
+    candidates = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    tracked, nearest = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return make_state(pos, dog), params, candidates, np.array(destination), tracked, nearest
+
+
+@settings(max_examples=400, deadline=None)
+@given(steering_cases())
+# math.hypot(3.6, 20.8) and 31.086 * 31.086 each miss C's hypot and pow by an ulp.
+@example((make_state([[-31.086, 0.0]], [0.0, 0.0]), DEFAULTS, [0], np.array([-3.6, -20.8]), 0, 0))
+def test_steering_laws_are_bitwise_the_vector_oracle(case):
+    state, params, candidates, destination, tracked, nearest = case
+    idx = np.array(sorted(set(candidates)))
+    v_ref, tracked_ref, nearest_ref = oracle.steering(state, params, idx, destination)
+    cmd = steering_command(state, params, candidates, destination)
+    assert (cmd.target_index, cmd.nearest_index) == (tracked_ref, nearest_ref)
+    assert cmd.v_d.tobytes() == v_ref.tobytes()
+    assert (
+        dog_velocity(state, params, tracked, nearest, destination).tobytes()
+        == oracle.dog_velocity(state, params, tracked, nearest, destination).tobytes()
+    )
+    assert (
+        approach_velocity(state, params, destination).tobytes()
+        == oracle.approach_velocity(state, params, destination).tobytes()
+    )
+
+
+def test_huge_distances_overflow_like_the_vector_oracle():
+    # The stand-off square of 1e200 overflows to inf, and so does the
+    # length of (1.5e308, 1.5e308); numpy gives inf for both.
+    for sheep, dog in (([[0.0, 0.0]], [1e200, 0.0]), ([[-1.5e308, 0.0]], [0.0, 1.5e308])):
+        state = make_state(sheep, dog)
+        with np.errstate(over="ignore", invalid="ignore"):
+            approach = approach_velocity(state, DEFAULTS, np.zeros(2))
+            approach_ref = oracle.approach_velocity(state, DEFAULTS, np.zeros(2))
+            drive = dog_velocity(state, DEFAULTS, 0, 0, np.zeros(2))
+            drive_ref = oracle.dog_velocity(state, DEFAULTS, 0, 0, np.zeros(2))
+        assert approach.tobytes() == approach_ref.tobytes()
+        assert drive.tobytes() == drive_ref.tobytes()
 
 
 def test_params_validation():

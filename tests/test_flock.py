@@ -148,7 +148,13 @@ def flocks(draw):
 def test_flock_velocities_are_bitwise_the_dense_oracle(flock_and_params):
     state, params = flock_and_params
     sparse = flock_velocities(state, params)
+    assert sparse.flags.c_contiguous
     assert sparse.tobytes() == dense_flock_velocities(state, params).tobytes()
+    # Column-major inputs give the same bits (the dense sums would not).
+    fortran = make_state(
+        np.asfortranarray(state.sheep_pos), state.dog_pos, vel_prev=np.asfortranarray(state.sheep_vel_prev)
+    )
+    assert flock_velocities(fortran, params).tobytes() == sparse.tobytes()
 
 
 def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):

@@ -1,0 +1,47 @@
+"""Golden output digests: small CLI runs must keep their exact bytes.
+
+Each case runs the CLI into a fresh directory and hashes every output
+file (name and bytes, in name order) with SHA-256. A refactor or speed-up
+must leave every digest unchanged; a change that alters numbers on
+purpose re-records them and says why.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from sheepdog.cli import run_cli
+
+CASES = {
+    "plan": (
+        ["plan"],
+        "84e2417df9426987f9e066e4630cae534bbd148434e27c585aaf862e15a8ae4c",
+    ),
+    "simulate-fat": (
+        ["simulate", "--method", "fat", "--set", "T=300"],
+        "b21790e52792035dfee72a288886faa002536d8539ce5d6bb7af2178f328f336",
+    ),
+    "simulate-proposed-reverse": (
+        ["simulate", "--method", "proposed:reverse", "--set", "T=300"],
+        "e6e93575624373080029fe78ba34ff908c16fbb0b71d3ce6ab69b7d7bf2a6e59",
+    ),
+    "batch": (
+        ["batch", "--grid", "10,20;0.0012", "--trials", "2", "--set", "T=2000"],
+        "742bf814c15cf9fdfc59d4bd36aac1a76869ce6d2e7c229424a526af62437c45",
+    ),
+}
+
+
+def output_digest(directory: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_outputs_match_recorded_digests(name, tmp_path):
+    argv, expected = CASES[name]
+    assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+    assert output_digest(tmp_path) == expected

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from sheepdog import flock, guidance
 from sheepdog.dog import dog_velocity, farthest_from, nearest_to_dog
 from sheepdog.flock import FlockState, flock_velocities
 from sheepdog.guidance import (
@@ -71,10 +72,56 @@ def test_already_at_goal_succeeds_immediately():
 def test_mismatched_sizes_are_rejected():
     cfg = ScenarioConfig(n_sheep=3, rho=0.0012)
     state = make_state([[30.0, 0.0]], cfg.dog_start)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state has 1 sheep"):
         run_fat(cfg, initial_state=state)
+    with pytest.raises(ValueError, match="state has 1 sheep"):
+        run_proposed(cfg, Tour((0, 1, 2)), initial_state=state)
     with pytest.raises(ValueError):
         run_proposed(cfg, Tour((0, 1)), initial_state=None)
+
+
+@pytest.mark.parametrize("method", ["fat", "proposed"])
+def test_non_finite_state_mid_episode_raises(monkeypatch, method):
+    # Steps are unchecked snapshots; the end state is validated, and a
+    # non-finite velocity leaves every later position non-finite.
+    cfg = ScenarioConfig(n_sheep=5, rho=0.0012, horizon=40)
+    start = prepare_start_state(cfg, base_seed=0, trial=3)
+    calls = []
+
+    def blows_up_at_step_ten(state, params):
+        calls.append(state.step)
+        v = flock_velocities(state, params)
+        return np.full_like(v, np.inf) if len(calls) == 10 else v
+
+    monkeypatch.setattr(guidance, "flock_velocities", blows_up_at_step_ten)
+    # The steps after the blow-up run on inf and nan until the end check.
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flock state must be finite"):
+        if method == "fat":
+            run_fat(cfg, initial_state=start)
+        else:
+            run_proposed(cfg, Tour(tuple(range(5))), initial_state=start)
+    assert len(calls) > 10
+
+
+def test_steps_do_not_go_through_a_patched_flock_state(monkeypatch):
+    # A tracer swaps FlockState for a wrapper in both modules; the loop's
+    # snapshots must still be FlockState and only the end state is rebuilt.
+    cfg = ScenarioConfig(n_sheep=6, rho=0.0012, horizon=60)
+    start = prepare_start_state(cfg, base_seed=0, trial=1)
+    plain = run_fat(cfg, initial_state=start)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return FlockState(*args, **kwargs)
+
+    monkeypatch.setattr(guidance, "FlockState", counted)
+    monkeypatch.setattr(flock, "FlockState", counted)
+    wrapped = run_fat(cfg, initial_state=start)
+    assert len(builds) == 1
+    assert wrapped.k_end == plain.k_end > 0
+    assert wrapped.sheep_traces.tobytes() == plain.sheep_traces.tobytes()
+    assert wrapped.dog_trace.tobytes() == plain.dog_trace.tobytes()
 
 
 # ------------------------------------------------------------------ single sheep

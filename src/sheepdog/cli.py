@@ -192,6 +192,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     for m in methods:
         if m not in ALL_METHODS:
             raise CliError(f"unknown method {m!r}, expected one of {', '.join(ALL_METHODS)}")
+    if not methods:
+        raise CliError("nothing to run: no methods selected")
     for n, rho in grid:
         try:
             replace(cfg, n_sheep=n, rho=rho)

@@ -34,15 +34,6 @@ class GuidanceMode(Enum):
     DONE = "done"
 
 
-# Forward order used by the monotonicity invariant.
-MODE_ORDER = (
-    GuidanceMode.APPROACH_FIRST,
-    GuidanceMode.PROVISIONAL_GATHER,
-    GuidanceMode.FINAL_DRIVE,
-    GuidanceMode.DONE,
-)
-
-
 @dataclass(frozen=True)
 class GuidancePhase:
     """Phase snapshot: mode, next tour position nu (1-based), collected indices."""

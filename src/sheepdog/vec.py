@@ -17,19 +17,3 @@ def as_point(value) -> np.ndarray:
     if not np.all(np.isfinite(pt)):
         raise ValueError("vector components must be finite")
     return pt
-
-
-def norm(v: np.ndarray) -> float:
-    return float(np.hypot(v[0], v[1]))
-
-
-def safe_unit(v: np.ndarray) -> np.ndarray:
-    """Direction of v. Exactly coincident endpoints fall back to +x."""
-    n = np.hypot(v[0], v[1])
-    if n == 0.0:
-        return UNIT_X.copy()
-    return v / max(n, EPS)
-
-
-def clamped_norm(v: np.ndarray) -> float:
-    return max(np.hypot(v[0], v[1]), EPS)

@@ -1,7 +1,7 @@
 """Vector reference for the dog's steering laws, kept for tests only.
 
 These are the drive and approach laws written on numpy 2-vectors with
-`vec.safe_unit` and `vec.clamped_norm`; `dog.steering_command`,
+`safe_unit` and `clamped_norm`; `dog.steering_command`,
 `dog.dog_velocity` and `dog.approach_velocity` must reproduce them bit
 for bit.
 """
@@ -11,7 +11,19 @@ import numpy as np
 
 from sheepdog.dog import DogParams
 from sheepdog.flock import FlockState
-from sheepdog.vec import clamped_norm, safe_unit
+from sheepdog.vec import EPS, UNIT_X
+
+
+def safe_unit(v: np.ndarray) -> np.ndarray:
+    """Direction of v. Exactly coincident endpoints fall back to +x."""
+    n = np.hypot(v[0], v[1])
+    if n == 0.0:
+        return UNIT_X.copy()
+    return v / max(n, EPS)
+
+
+def clamped_norm(v: np.ndarray) -> float:
+    return max(np.hypot(v[0], v[1]), EPS)
 
 
 def _nearest(idx: np.ndarray, state: FlockState) -> int:

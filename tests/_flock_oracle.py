@@ -2,7 +2,8 @@
 
 `dense_flock_velocities` evaluates every (i, j) pair on (N, N, 2)
 arrays and masks the non-neighbors to zero; `flock.flock_velocities`
-must reproduce it bit for bit.
+must reproduce it bit for bit. It copies the state's arrays to C order
+first, because its axis sums follow memory layout.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ def neighbor_set(i: int, state: FlockState, r_s: float) -> tuple[int, ...]:
 
 def dense_flock_velocities(state: FlockState, params: SheepParams) -> np.ndarray:
     """Every sheep's velocity from masked sums over all N x N pairs."""
-    pos = state.sheep_pos
+    pos = np.ascontiguousarray(state.sheep_pos)
     n = state.n
 
     diff = pos[None, :, :] - pos[:, None, :]  # diff[i, j] = x_j - x_i
@@ -47,7 +48,7 @@ def dense_flock_velocities(state: FlockState, params: SheepParams) -> np.ndarray
     separation = (away / (clamped**2)[..., None] * mask).sum(axis=1) / denom
     cohesion = (toward * mask).sum(axis=1) / denom
 
-    prev = state.sheep_vel_prev
+    prev = np.ascontiguousarray(state.sheep_vel_prev)
     prev_norm = np.hypot(prev[:, 0], prev[:, 1])
     headings = np.zeros_like(prev)
     moving = prev_norm >= EPS

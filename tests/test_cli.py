@@ -150,6 +150,7 @@ def test_batch_tables(tmp_path):
         ["batch", "--grid", "5;nan"],
         ["batch", "--grid", "5;inf"],
         ["batch", "--methods", "banana"],
+        ["batch", "--methods", ","],
         ["plan", "--iterations", "0"],
         ["plan", "--seed", "-1"],
         ["simulate", "--iterations", "0"],

@@ -143,18 +143,40 @@ def flocks(draw):
     return make_state(pos, dog, vel_prev=vel), params
 
 
+# Values of flock._BOX_MIN_N that send every flock down the box path and
+# down the dense path of the neighbour search.
+BOTH_PAIR_SEARCHES = (1, 10**9)
+
+
 @settings(max_examples=300, deadline=None)
 @given(flocks())
 def test_flock_velocities_are_bitwise_the_dense_oracle(flock_and_params):
     state, params = flock_and_params
-    sparse = flock_velocities(state, params)
-    assert sparse.flags.c_contiguous
-    assert sparse.tobytes() == dense_flock_velocities(state, params).tobytes()
-    # Column-major inputs give the same bits (the dense sums would not).
     fortran = make_state(
         np.asfortranarray(state.sheep_pos), state.dog_pos, vel_prev=np.asfortranarray(state.sheep_vel_prev)
     )
-    assert flock_velocities(fortran, params).tobytes() == sparse.tobytes()
+    for box_min_n in BOTH_PAIR_SEARCHES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flock, "_BOX_MIN_N", box_min_n)
+            assert flock_velocities(state, params).flags.c_contiguous
+            for layout in (state, fortran):
+                velocities = flock_velocities(layout, params)
+                assert velocities.tobytes() == dense_flock_velocities(layout, params).tobytes()
+
+
+def test_both_pair_searches_skip_non_finite_pairs(monkeypatch):
+    # Sheep 0 and 1 are the only finite pair within r_s; every other pair
+    # has an inf or nan difference.
+    x = np.array([0.0, 5.0, np.inf, -np.inf, np.nan, 10.0, np.inf])
+    y = np.array([0.0, 5.0, 0.0, np.inf, 1.0, np.nan, np.inf])
+    found = []
+    for box_min_n in BOTH_PAIR_SEARCHES:
+        monkeypatch.setattr(flock, "_BOX_MIN_N", box_min_n)
+        with np.errstate(invalid="ignore"):
+            pairs = flock._neighbour_pairs(x, y, R_S)
+        assert pairs[0].tolist() == [1, 7]  # (0, 1) and (1, 0), row-major
+        found.append([a.tobytes() for a in pairs])
+    assert found[0] == found[1]
 
 
 def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):

@@ -7,7 +7,6 @@ from sheepdog import flock, guidance
 from sheepdog.dog import dog_velocity, farthest_from, nearest_to_dog
 from sheepdog.flock import FlockState, flock_velocities
 from sheepdog.guidance import (
-    MODE_ORDER,
     GuidanceMode,
     goal_reached,
     run_fat,
@@ -16,6 +15,14 @@ from sheepdog.guidance import (
 from sheepdog.placement import prepare_start_state
 from sheepdog.routing import RlsConfig, Tour, TourInstance, rls_optimize
 from sheepdog.scenario import GoalSpec, ScenarioConfig, stream_seed
+
+# Forward order used by the monotonicity invariant.
+MODE_ORDER = (
+    GuidanceMode.APPROACH_FIRST,
+    GuidanceMode.PROVISIONAL_GATHER,
+    GuidanceMode.FINAL_DRIVE,
+    GuidanceMode.DONE,
+)
 
 
 def make_state(sheep_pos, dog_pos, step=0):

@@ -34,18 +34,11 @@ class DogParams:
     k_goal_repulsion: float = 4.5
 
     def __post_init__(self) -> None:
-        if self.r_d <= 0:
-            raise ValueError("r_d must be positive")
+        if not 0 < self.r_d < math.inf:
+            raise ValueError("r_d must be positive and finite")
         for name in ("k_attraction", "k_repulsion", "k_goal_repulsion"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-@dataclass(frozen=True, eq=False)
-class SteeringCommand:
-    v_d: np.ndarray
-    target_index: int
-    nearest_index: int
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,18 +71,6 @@ def _select(state: FlockState, idx: np.ndarray | None, point, farthest: bool) ->
     dist = np.hypot(pos[:, 0] - point[0], pos[:, 1] - point[1])
     k = int(dist.argmax() if farthest else dist.argmin())
     return k if idx is None else int(idx[k])
-
-
-def farthest_from(point: np.ndarray, candidates: Iterable[int], state: FlockState) -> int:
-    """Candidate sheep farthest from point; ties go to the smallest index."""
-    idx = _check_candidates(candidates, state.n).idx
-    return _select(state, idx, np.asarray(point, dtype=float).tolist(), True)
-
-
-def nearest_to_dog(candidates: Iterable[int], state: FlockState) -> int:
-    """Candidate sheep nearest the dog; ties go to the smallest index."""
-    idx = _check_candidates(candidates, state.n).idx
-    return _select(state, idx, state.dog_pos.tolist(), False)
 
 
 def _unit(x: float, y: float) -> tuple[float, float, float]:
@@ -148,8 +129,8 @@ def steering_command(
     params: DogParams,
     candidates: Iterable[int],
     destination: np.ndarray,
-) -> SteeringCommand:
-    """Select tracked and nearest candidates for destination, then steer.
+) -> np.ndarray:
+    """Drive velocity: track the candidate farthest from destination, stand off the one nearest the dog.
 
     With all sheep as candidates and the goal as destination this is the
     classic farthest-agent-tracking drive.
@@ -158,5 +139,4 @@ def steering_command(
     destination = np.asarray(destination, dtype=float)
     tracked = _select(state, idx, destination.tolist(), True)
     nearest = _select(state, idx, state.dog_pos.tolist(), False)
-    v = dog_velocity(state, params, tracked, nearest, destination)
-    return SteeringCommand(v_d=v, target_index=tracked, nearest_index=nearest)
+    return dog_velocity(state, params, tracked, nearest, destination)

@@ -26,6 +26,7 @@ partial sum and leave a zero sum at +0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,11 @@ class SheepParams:
     k_flight: float = 500.0
 
     def __post_init__(self) -> None:
-        if self.r_s <= 0:
-            raise ValueError("r_s must be positive")
+        if not 0 < self.r_s < math.inf:
+            raise ValueError("r_s must be positive and finite")
         for name in ("k_separation", "k_alignment", "k_cohesion", "k_flight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +101,11 @@ class FlockState:
     @property
     def n(self) -> int:
         return self.sheep_pos.shape[0]
+
+
+# Bound at import, so that swapping a module's FlockState name for a
+# wrapper (a tracer, say) leaves the per-step snapshots as they are.
+_snapshot = FlockState._unchecked
 
 
 def _neighbour_pairs(x: np.ndarray, y: np.ndarray, r_s: float) -> tuple[np.ndarray, ...]:
@@ -181,11 +187,10 @@ def flock_velocities(state: FlockState, params: SheepParams) -> np.ndarray:
 
 
 def step_flock(state: FlockState, params: SheepParams) -> FlockState:
-    """Advance every sheep one step; the dog does not move here."""
+    """Advance every sheep one step; the dog does not move here.
+
+    The result is an unchecked snapshot: its caller checks the last state
+    of a run, as placement.warmup does.
+    """
     v = flock_velocities(state, params)
-    return FlockState(
-        step=state.step + 1,
-        sheep_pos=state.sheep_pos + v,
-        sheep_vel_prev=v,
-        dog_pos=state.dog_pos,
-    )
+    return _snapshot(state.step + 1, state.sheep_pos + v, v, state.dog_pos)

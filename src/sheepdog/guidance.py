@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .dog import _check_candidates, approach_velocity, steering_command
-from .flock import FlockState, flock_velocities
+from .flock import FlockState, _snapshot, flock_velocities
 from .placement import prepare_start_state
 from .routing import Tour
 from .scenario import GoalSpec, ScenarioConfig
@@ -64,11 +64,6 @@ def goal_reached(state: FlockState, goal: GoalSpec) -> bool:
     """True when every sheep lies within the goal disk (boundary inclusive)."""
     diff = state.sheep_pos - goal.center
     return bool(np.hypot(diff[:, 0], diff[:, 1]).max() <= goal.radius)
-
-
-# Bound at import, so that swapping the module's FlockState name for a
-# wrapper (a tracer, say) leaves the per-step snapshots as they are.
-_snapshot = FlockState._unchecked
 
 
 class _TourController:
@@ -121,8 +116,7 @@ class _TourController:
             destination = state.sheep_pos[self._order[phase.nu - 1]]
         else:
             destination = scenario.goal.center
-        cmd = steering_command(state, scenario.dog, self._candidates, destination)
-        return phase, cmd.v_d
+        return phase, steering_command(state, scenario.dog, self._candidates, destination)
 
 
 def _run_episode(scenario: ScenarioConfig, controller, initial_state: FlockState | None) -> RunRecord:

@@ -39,12 +39,17 @@ def initial_placement(config: ScenarioConfig, rng: np.random.Generator) -> Flock
 
 
 def warmup(state: FlockState, params, steps: int) -> FlockState:
-    """Let the flock settle for steps updates while the dog stands still."""
+    """Let the flock settle for steps updates while the dog stands still.
+
+    The steps are unchecked snapshots; the settled state is rebuilt
+    through the checked constructor, which raises if any value turned
+    non-finite on the way.
+    """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     for _ in range(steps):
         state = step_flock(state, params)
-    return state
+    return replace(state)
 
 
 def prepare_start_state(config: ScenarioConfig, *, base_seed: int | None = None, trial: int = 0) -> FlockState:

@@ -11,15 +11,11 @@ re-summing every candidate.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 STRATEGIES = ("reverse", "exchange", "jump")
-
-# Exhaustive search is only sane for small flocks.
-BRUTE_FORCE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -107,13 +103,6 @@ def _path_cost(table: list[list[float]], order: tuple[int, ...]) -> float:
     return total + table[prev + 1][goal_node]
 
 
-def tour_cost(tour: Tour, instance: TourInstance) -> float:
-    """Length of the open path dog -> sheep in tour order -> goal."""
-    if tour.n != instance.n:
-        raise ValueError(f"tour over {tour.n} sheep does not match instance of {instance.n}")
-    return _path_cost(_distance_table(instance), tour.order)
-
-
 def reverse_segment(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """Reverse the inclusive slice [a, b]."""
     return order[:a] + order[a : b + 1][::-1] + order[b + 1 :]
@@ -165,17 +154,12 @@ _REJECT_MARGIN = 1e-9
 _DRAW_CHUNK = 4096
 
 
-def _draw_positions(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    # Uniform unordered pair of distinct positions, returned as a < b.
-    a = int(rng.integers(n))
-    b = int(rng.integers(n - 1))
-    if b >= a:
-        b += 1
-    return (a, b) if a < b else (b, a)
-
-
 def _drawn_positions(rng: np.random.Generator, n: int, iterations: int):
-    """The pairs of _draw_positions, drawn in chunks from the same stream."""
+    """Uniform unordered pairs a < b of distinct positions, drawn in chunks.
+
+    Each pair takes two draws, a from [0, n) and b from [0, n - 1), and b
+    skips past a, so the stream is the same as drawing one pair at a time.
+    """
     highs = np.tile([n, n - 1], min(iterations, _DRAW_CHUNK))
     for start in range(0, iterations, _DRAW_CHUNK):
         k = min(_DRAW_CHUNK, iterations - start)
@@ -183,16 +167,6 @@ def _drawn_positions(rng: np.random.Generator, n: int, iterations: int):
         a, b = draws[:, 0], draws[:, 1]
         b = b + (b >= a)
         yield from zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
-
-
-def mutate(tour: Tour, strategy: str, rng: np.random.Generator) -> Tour:
-    """One random mutation of tour; a single-sheep tour is returned unchanged."""
-    if strategy not in _KERNELS:
-        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
-    if tour.n < 2:
-        return tour
-    a, b = _draw_positions(rng, tour.n)
-    return Tour(_KERNELS[strategy][0](tour.order, a, b))
 
 
 def random_tour(n: int, rng: np.random.Generator) -> Tour:
@@ -231,7 +205,7 @@ def rls_optimize(
         margin = _REJECT_MARGIN * cost
         for it, (a, b) in enumerate(_drawn_positions(rng, n, config.iterations)):
             if delta(table, path, a, b) <= margin:
-                candidate = Tour(move(order, a, b)).order
+                candidate = move(order, a, b)
                 candidate_cost = _path_cost(table, candidate)
                 if candidate_cost <= cost:
                     order = candidate
@@ -251,18 +225,3 @@ def rls_optimize(
         initial_cost=initial_cost,
     )
 
-
-def brute_force_tour(instance: TourInstance) -> tuple[Tour, float]:
-    """Exact optimum by enumeration; ties go to the lexicographically smallest order."""
-    if instance.n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force supports at most {BRUTE_FORCE_LIMIT} sheep, got {instance.n}")
-    table = _distance_table(instance)
-    best_order: tuple[int, ...] | None = None
-    best_cost = np.inf
-    for order in itertools.permutations(range(instance.n)):
-        cost = _path_cost(table, order)
-        if cost < best_cost:
-            best_order = order
-            best_cost = cost
-    assert best_order is not None
-    return Tour(best_order), best_cost

@@ -1,8 +1,10 @@
 """Scenario configuration, the key=value config format, and seed streams."""
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -21,8 +23,8 @@ class GoalSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", as_point(self.center))
         self.center.setflags(write=False)
-        if self.radius <= 0:
-            raise ValueError("goal radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("goal radius must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +54,11 @@ class ScenarioConfig:
         self.dog_start.setflags(write=False)
         if self.n_sheep < 1:
             raise ValueError("N must be at least 1")
-        if not 0 < self.rho < np.inf:
+        if not 0 < self.rho < math.inf:
             raise ValueError("rho must be positive and finite")
+        # stream_seed keys on rho * 1e10; the placement radius is sqrt(N / (pi * rho)).
+        if not (math.isfinite(self.rho * 1e10) and math.isfinite(self.n_sheep / (math.pi * self.rho))):
+            raise ValueError(f"rho={self.rho!r} is out of range: rho * 1e10 or sqrt(N / (pi * rho)) is not finite")
         if self.horizon < 0:
             raise ValueError("T must be non-negative")
         if self.warmup_steps < 0:
@@ -66,99 +71,72 @@ def default_scenario() -> ScenarioConfig:
     return ScenarioConfig()
 
 
-# Config file keys in canonical dump order.
-_CONFIG_KEYS = (
-    "N", "rho", "x_g", "g_r", "r_d", "T", "x_d0", "r_s",
-    "K_s1", "K_s2", "K_s3", "K_s4", "K_d1", "K_d2", "K_d3",
-    "warmup_steps",
-)
-
-
 def fmt(x: float) -> str:
     """A number as every config and output file prints it: 9 significant digits."""
     return f"{x:.9g}"
 
 
+_PAIR = "pair"  # two comma-separated floats
+
+# Config file keys in canonical dump order: key -> (field path, kind).
+_CONFIG_KEYS = {
+    "N": (("n_sheep",), int),
+    "rho": (("rho",), float),
+    "x_g": (("goal", "center"), _PAIR),
+    "g_r": (("goal", "radius"), float),
+    "r_d": (("dog", "r_d"), float),
+    "T": (("horizon",), int),
+    "x_d0": (("dog_start",), _PAIR),
+    "r_s": (("sheep", "r_s"), float),
+    "K_s1": (("sheep", "k_separation"), float),
+    "K_s2": (("sheep", "k_alignment"), float),
+    "K_s3": (("sheep", "k_cohesion"), float),
+    "K_s4": (("sheep", "k_flight"), float),
+    "K_d1": (("dog", "k_attraction"), float),
+    "K_d2": (("dog", "k_repulsion"), float),
+    "K_d3": (("dog", "k_goal_repulsion"), float),
+    "warmup_steps": (("warmup_steps",), int),
+}
+
+
+def _text(value, kind) -> str:
+    if kind is int:
+        return str(value)
+    if kind is float:
+        return fmt(value)
+    return f"{fmt(value[0])},{fmt(value[1])}"
+
+
 def dump_config(cfg: ScenarioConfig) -> str:
     """Render cfg in the key=value format accepted by parse_config."""
-    values = {
-        "N": str(cfg.n_sheep),
-        "rho": fmt(cfg.rho),
-        "x_g": f"{fmt(cfg.goal.center[0])},{fmt(cfg.goal.center[1])}",
-        "g_r": fmt(cfg.goal.radius),
-        "r_d": fmt(cfg.dog.r_d),
-        "T": str(cfg.horizon),
-        "x_d0": f"{fmt(cfg.dog_start[0])},{fmt(cfg.dog_start[1])}",
-        "r_s": fmt(cfg.sheep.r_s),
-        "K_s1": fmt(cfg.sheep.k_separation),
-        "K_s2": fmt(cfg.sheep.k_alignment),
-        "K_s3": fmt(cfg.sheep.k_cohesion),
-        "K_s4": fmt(cfg.sheep.k_flight),
-        "K_d1": fmt(cfg.dog.k_attraction),
-        "K_d2": fmt(cfg.dog.k_repulsion),
-        "K_d3": fmt(cfg.dog.k_goal_repulsion),
-        "warmup_steps": str(cfg.warmup_steps),
-    }
-    return "".join(f"{key} = {values[key]}\n" for key in _CONFIG_KEYS)
+    return "".join(
+        f"{key} = {_text(reduce(getattr, path, cfg), kind)}\n" for key, (path, kind) in _CONFIG_KEYS.items()
+    )
 
 
-def _parse_pair(raw: str, key: str) -> np.ndarray:
-    parts = raw.split(",")
-    if len(parts) != 2:
+def _parse(raw: str, key: str, kind) -> int | float | np.ndarray:
+    parts = raw.split(",") if kind is _PAIR else None
+    if parts is not None and len(parts) != 2:
         raise ValueError(f"{key} expects two comma-separated numbers, got {raw!r}")
     try:
-        return np.array([float(parts[0]), float(parts[1])])
+        return kind(raw) if parts is None else np.array([float(parts[0]), float(parts[1])])
     except ValueError as exc:
         raise ValueError(f"bad value for {key}: {raw!r}") from exc
 
 
-def _parse_scalar(raw: str, key: str, kind) -> float | int:
-    try:
-        if kind is int:
-            return int(raw)
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad value for {key}: {raw!r}") from exc
+def _assign(obj, path: tuple[str, ...], value):
+    """obj with the field at path set, rebuilt through every dataclass on the way."""
+    head, *rest = path
+    return replace(obj, **{head: _assign(getattr(obj, head), rest, value) if rest else value})
 
 
 def apply_assignments(cfg: ScenarioConfig, pairs: list[tuple[str, str]]) -> ScenarioConfig:
     """Apply (key, raw value) assignments to cfg; unknown keys are rejected."""
     for key, raw in pairs:
-        raw = raw.strip()
-        if key == "N":
-            cfg = replace(cfg, n_sheep=_parse_scalar(raw, key, int))
-        elif key == "rho":
-            cfg = replace(cfg, rho=_parse_scalar(raw, key, float))
-        elif key == "x_g":
-            cfg = replace(cfg, goal=GoalSpec(_parse_pair(raw, key), cfg.goal.radius))
-        elif key == "g_r":
-            cfg = replace(cfg, goal=GoalSpec(cfg.goal.center, _parse_scalar(raw, key, float)))
-        elif key == "r_d":
-            cfg = replace(cfg, dog=replace(cfg.dog, r_d=_parse_scalar(raw, key, float)))
-        elif key == "T":
-            cfg = replace(cfg, horizon=_parse_scalar(raw, key, int))
-        elif key == "x_d0":
-            cfg = replace(cfg, dog_start=_parse_pair(raw, key))
-        elif key == "r_s":
-            cfg = replace(cfg, sheep=replace(cfg.sheep, r_s=_parse_scalar(raw, key, float)))
-        elif key == "K_s1":
-            cfg = replace(cfg, sheep=replace(cfg.sheep, k_separation=_parse_scalar(raw, key, float)))
-        elif key == "K_s2":
-            cfg = replace(cfg, sheep=replace(cfg.sheep, k_alignment=_parse_scalar(raw, key, float)))
-        elif key == "K_s3":
-            cfg = replace(cfg, sheep=replace(cfg.sheep, k_cohesion=_parse_scalar(raw, key, float)))
-        elif key == "K_s4":
-            cfg = replace(cfg, sheep=replace(cfg.sheep, k_flight=_parse_scalar(raw, key, float)))
-        elif key == "K_d1":
-            cfg = replace(cfg, dog=replace(cfg.dog, k_attraction=_parse_scalar(raw, key, float)))
-        elif key == "K_d2":
-            cfg = replace(cfg, dog=replace(cfg.dog, k_repulsion=_parse_scalar(raw, key, float)))
-        elif key == "K_d3":
-            cfg = replace(cfg, dog=replace(cfg.dog, k_goal_repulsion=_parse_scalar(raw, key, float)))
-        elif key == "warmup_steps":
-            cfg = replace(cfg, warmup_steps=_parse_scalar(raw, key, int))
-        else:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
+        path, kind = _CONFIG_KEYS[key]
+        cfg = _assign(cfg, path, _parse(raw.strip(), key, kind))
     return cfg
 
 

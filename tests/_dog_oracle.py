@@ -3,15 +3,31 @@
 These are the drive and approach laws written on numpy 2-vectors with
 `safe_unit` and `clamped_norm`; `dog.steering_command`,
 `dog.dog_velocity` and `dog.approach_velocity` must reproduce them bit
-for bit.
+for bit. `farthest_from` and `nearest_to_dog` are not references: they
+call the package's own candidate check and selection, so tests can pick
+the sheep that `steering_command` steers by.
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
-from sheepdog.dog import DogParams
+from sheepdog.dog import DogParams, _check_candidates, _select
 from sheepdog.flock import FlockState
 from sheepdog.vec import EPS, UNIT_X
+
+
+def farthest_from(point: np.ndarray, candidates: Iterable[int], state: FlockState) -> int:
+    """Candidate sheep farthest from point; ties go to the smallest index."""
+    idx = _check_candidates(candidates, state.n).idx
+    return _select(state, idx, np.asarray(point, dtype=float).tolist(), True)
+
+
+def nearest_to_dog(candidates: Iterable[int], state: FlockState) -> int:
+    """Candidate sheep nearest the dog; ties go to the smallest index."""
+    idx = _check_candidates(candidates, state.n).idx
+    return _select(state, idx, state.dog_pos.tolist(), False)
 
 
 def safe_unit(v: np.ndarray) -> np.ndarray:

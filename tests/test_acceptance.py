@@ -11,20 +11,14 @@ import time
 import numpy as np
 import pytest
 
+from _dog_oracle import farthest_from, nearest_to_dog
+from _routing_oracle import brute_force_tour, mutate
 from sheepdog.cli import run_cli
-from sheepdog.dog import DogParams, dog_velocity, farthest_from, nearest_to_dog
+from sheepdog.dog import DogParams, dog_velocity
 from sheepdog.experiments import run_batch, run_trial
 from sheepdog.flock import FlockState, SheepParams, step_flock
 from sheepdog.placement import initial_placement, placement_radius, prepare_start_state
-from sheepdog.routing import (
-    STRATEGIES,
-    RlsConfig,
-    TourInstance,
-    brute_force_tour,
-    mutate,
-    random_tour,
-    rls_optimize,
-)
+from sheepdog.routing import STRATEGIES, RlsConfig, TourInstance, random_tour, rls_optimize
 from sheepdog.scenario import ScenarioConfig
 
 

@@ -159,6 +159,14 @@ def test_batch_tables(tmp_path):
         ["batch", "--seed", "-1"],
         ["batch", "--trials", "0"],
         ["batch", "--trials", "-3"],
+        ["batch", "--grid", "5;1e300"],
+        ["plan", "--set", "rho=1e300"],
+        ["simulate", "--set", "rho=1e300"],
+        ["simulate", "--set", "rho=1e-320"],
+        ["simulate", "--method", "fat", "--set", "g_r=nan"],
+        ["simulate", "--method", "fat", "--set", "r_d=nan"],
+        ["simulate", "--method", "fat", "--set", "K_s1=nan"],
+        ["simulate", "--method", "fat", "--set", "K_d2=inf"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):

@@ -4,14 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _dog_oracle as oracle
-from sheepdog.dog import (
-    DogParams,
-    approach_velocity,
-    dog_velocity,
-    farthest_from,
-    nearest_to_dog,
-    steering_command,
-)
+from _dog_oracle import farthest_from, nearest_to_dog
+from sheepdog import dog
+from sheepdog.dog import DogParams, approach_velocity, dog_velocity, steering_command
 from sheepdog.flock import FlockState
 
 DEFAULTS = DogParams()
@@ -149,16 +144,19 @@ def test_steering_command_composes_selection_and_velocity():
     rng = np.random.default_rng(29)
     state = make_state(rng.uniform(-80, 80, (6, 2)), rng.uniform(-80, 80, 2))
     goal = np.zeros(2)
-    cmd = steering_command(state, DEFAULTS, set(range(6)), goal)
-    assert cmd.target_index == farthest_from(goal, set(range(6)), state)
-    assert cmd.nearest_index == nearest_to_dog(set(range(6)), state)
-    expected = dog_velocity(state, DEFAULTS, cmd.target_index, cmd.nearest_index, goal)
-    assert np.allclose(cmd.v_d, expected, atol=1e-12)
+    v = steering_command(state, DEFAULTS, set(range(6)), goal)
+    tracked = farthest_from(goal, set(range(6)), state)
+    nearest = nearest_to_dog(set(range(6)), state)
+    # The set of all sheep skips the indexing; an explicit index array
+    # must select the same two sheep.
+    idx = np.arange(6)
+    assert dog._select(state, idx, goal.tolist(), True) == tracked
+    assert dog._select(state, idx, state.dog_pos.tolist(), False) == nearest
+    expected = dog_velocity(state, DEFAULTS, tracked, nearest, goal)
+    assert v.tobytes() == expected.tobytes()
     # Index arrays, sorted or not, select the same sheep as the set.
-    for idx in (np.arange(6), np.array([5, 3, 3, 0, 1, 2, 4])):
-        same = steering_command(state, DEFAULTS, idx, goal)
-        assert (same.target_index, same.nearest_index) == (cmd.target_index, cmd.nearest_index)
-        assert same.v_d.tobytes() == cmd.v_d.tobytes()
+    for cand in (np.arange(6), np.array([5, 3, 3, 0, 1, 2, 4])):
+        assert steering_command(state, DEFAULTS, cand, goal).tobytes() == v.tobytes()
     with pytest.raises(IndexError):
         steering_command(state, DEFAULTS, np.arange(7), goal)
 
@@ -196,9 +194,10 @@ def test_steering_laws_are_bitwise_the_vector_oracle(case):
     state, params, candidates, destination, tracked, nearest = case
     idx = np.array(sorted(set(candidates)))
     v_ref, tracked_ref, nearest_ref = oracle.steering(state, params, idx, destination)
-    cmd = steering_command(state, params, candidates, destination)
-    assert (cmd.target_index, cmd.nearest_index) == (tracked_ref, nearest_ref)
-    assert cmd.v_d.tobytes() == v_ref.tobytes()
+    checked = dog._check_candidates(candidates, state.n).idx
+    assert dog._select(state, checked, destination.tolist(), True) == tracked_ref
+    assert dog._select(state, checked, state.dog_pos.tolist(), False) == nearest_ref
+    assert steering_command(state, params, candidates, destination).tobytes() == v_ref.tobytes()
     assert (
         dog_velocity(state, params, tracked, nearest, destination).tobytes()
         == oracle.dog_velocity(state, params, tracked, nearest, destination).tobytes()
@@ -228,3 +227,8 @@ def test_params_validation():
         DogParams(r_d=0.0)
     with pytest.raises(ValueError):
         DogParams(k_attraction=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="r_d must be positive and finite"):
+            DogParams(r_d=bad)
+        with pytest.raises(ValueError, match="k_repulsion must be non-negative and finite"):
+            DogParams(k_repulsion=bad)

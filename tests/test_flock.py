@@ -282,3 +282,8 @@ def test_params_validation():
         SheepParams(r_s=-1.0)
     with pytest.raises(ValueError):
         SheepParams(k_separation=-0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="r_s must be positive and finite"):
+            SheepParams(r_s=bad)
+        with pytest.raises(ValueError, match="k_flight must be non-negative and finite"):
+            SheepParams(k_flight=bad)

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from _dog_oracle import farthest_from, nearest_to_dog
 from sheepdog import flock, guidance
-from sheepdog.dog import dog_velocity, farthest_from, nearest_to_dog
+from sheepdog.dog import dog_velocity
 from sheepdog.flock import FlockState, flock_velocities
 from sheepdog.guidance import (
     GuidanceMode,

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from sheepdog import flock
 from sheepdog.flock import SheepParams
 from sheepdog.placement import (
     initial_placement,
@@ -113,3 +114,47 @@ def test_warmup_respects_interaction_parameters():
     state = initial_placement(cfg, np.random.default_rng(8))
     warmed = warmup(state, still, 20)
     assert np.array_equal(warmed.sheep_pos, state.sheep_pos)
+
+
+
+def test_warmup_steps_skip_a_patched_flock_state(monkeypatch):
+    # A tracer swaps flock.FlockState for a wrapper: the steps still call
+    # the module's kernel name but build no checked state, and only the
+    # settled state is rebuilt (through the class itself) and read-only.
+    cfg = ScenarioConfig(n_sheep=6, rho=0.0012)
+    placed = initial_placement(cfg, np.random.default_rng(4))
+    plain = warmup(placed, cfg.sheep, 30)
+    kernel, real_state, calls, builds = flock.flock_velocities, flock.FlockState, [], []
+
+    def counted_kernel(state, params):
+        calls.append(state.step)
+        return kernel(state, params)
+
+    def counted_state(*args, **kwargs):
+        builds.append(1)
+        return real_state(*args, **kwargs)
+
+    monkeypatch.setattr(flock, "flock_velocities", counted_kernel)
+    monkeypatch.setattr(flock, "FlockState", counted_state)
+    settled = warmup(placed, cfg.sheep, 30)
+    assert calls == list(range(30)) and builds == []
+    assert not settled.sheep_pos.flags.writeable
+    assert settled.sheep_pos.tobytes() == plain.sheep_pos.tobytes()
+    assert settled.sheep_vel_prev.tobytes() == plain.sheep_vel_prev.tobytes()
+
+
+def test_warmup_rejects_a_state_that_turned_non_finite(monkeypatch):
+    cfg = ScenarioConfig(n_sheep=6, rho=0.0012)
+    placed = initial_placement(cfg, np.random.default_rng(4))
+    kernel, calls = flock.flock_velocities, []
+
+    def blows_up_at_step_ten(state, params):
+        calls.append(state.step)
+        v = kernel(state, params)
+        return np.full_like(v, np.nan) if len(calls) == 10 else v
+
+    monkeypatch.setattr(flock, "flock_velocities", blows_up_at_step_ten)
+    # The steps after the blow-up run on nan until the settled state's check.
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flock state must be finite"):
+        warmup(placed, cfg.sheep, 30)
+    assert len(calls) == 30

@@ -2,23 +2,20 @@
 import numpy as np
 import pytest
 
+from _routing_oracle import BRUTE_FORCE_LIMIT, brute_force_tour, mutate, tour_cost
 from sheepdog.routing import (
     _KERNELS,
     _distance_table,
     _path_cost,
-    BRUTE_FORCE_LIMIT,
     STRATEGIES,
     RlsConfig,
     Tour,
     TourInstance,
-    brute_force_tour,
     exchange_positions,
     jump_insert,
-    mutate,
     random_tour,
     reverse_segment,
     rls_optimize,
-    tour_cost,
 )
 
 

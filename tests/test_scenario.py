@@ -1,7 +1,9 @@
 """Scenario configuration: defaults, file format round-trip, seed streams."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sheepdog import scenario
 from sheepdog.scenario import (
     GoalSpec,
     ScenarioConfig,
@@ -42,6 +44,75 @@ def test_dump_parse_round_trip():
     assert back.rho == pytest.approx(0.0008)
     assert back.horizon == 123
     assert back.warmup_steps == 9
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_gain = st.floats(min_value=0.0, allow_infinity=False)
+_steps = st.integers(0, 10**9)
+# One value per config key, any that the scenario accepts.
+_KEY_VALUES = {
+    "N": st.integers(1, 10**6),
+    "rho": st.floats(1e-290, 1e290),
+    "x_g": st.tuples(_finite, _finite),
+    "g_r": _positive,
+    "r_d": _positive,
+    "T": _steps,
+    "x_d0": st.tuples(_finite, _finite),
+    "r_s": _positive,
+    "K_s1": _gain,
+    "K_s2": _gain,
+    "K_s3": _gain,
+    "K_s4": _gain,
+    "K_d1": _gain,
+    "K_d2": _gain,
+    "K_d3": _gain,
+    "warmup_steps": _steps,
+}
+
+
+# Where each key's value lands, written out apart from the package's table.
+_FIELD = {
+    "N": lambda c: c.n_sheep,
+    "rho": lambda c: c.rho,
+    "x_g": lambda c: tuple(c.goal.center),
+    "g_r": lambda c: c.goal.radius,
+    "r_d": lambda c: c.dog.r_d,
+    "T": lambda c: c.horizon,
+    "x_d0": lambda c: tuple(c.dog_start),
+    "r_s": lambda c: c.sheep.r_s,
+    "K_s1": lambda c: c.sheep.k_separation,
+    "K_s2": lambda c: c.sheep.k_alignment,
+    "K_s3": lambda c: c.sheep.k_cohesion,
+    "K_s4": lambda c: c.sheep.k_flight,
+    "K_d1": lambda c: c.dog.k_attraction,
+    "K_d2": lambda c: c.dog.k_repulsion,
+    "K_d3": lambda c: c.dog.k_goal_repulsion,
+    "warmup_steps": lambda c: c.warmup_steps,
+}
+
+
+def _raw(value):
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+def _printed(value):
+    if isinstance(value, tuple):
+        return ",".join(f"{v:.9g}" for v in value)
+    return f"{value:.9g}" if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries(_KEY_VALUES))
+def test_dump_parse_round_trip_over_every_key(values):
+    keys = list(scenario._CONFIG_KEYS)
+    assert sorted(values) == sorted(keys)
+    cfg = apply_assignments(default_scenario(), [(key, _raw(values[key])) for key in keys])
+    assert {key: _FIELD[key](cfg) for key in keys} == values
+    text = dump_config(cfg)
+    # Every key prints the value assigned to it, in table order.
+    assert text == "".join(f"{key} = {_printed(values[key])}\n" for key in keys)
+    assert dump_config(parse_config(text)) == text
 
 
 def test_parse_ignores_comments_and_blank_lines():
@@ -86,6 +157,12 @@ def test_validation_errors():
         ScenarioConfig(horizon=-1)
     with pytest.raises(ValueError):
         GoalSpec(center=np.zeros(2), radius=0.0)
+    with pytest.raises(ValueError, match="goal radius must be positive and finite"):
+        GoalSpec(center=np.zeros(2), radius=np.nan)
+    # rho * 1e10 (the seed key) and sqrt(N / (pi * rho)) must be finite.
+    for rho in (1e300, 1e-320):
+        with pytest.raises(ValueError, match="out of range"):
+            ScenarioConfig(rho=rho)
 
 
 def test_stream_seed_is_pure_and_stream_separated():

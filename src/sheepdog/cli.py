@@ -18,14 +18,7 @@ from .experiments import (
 from .guidance import RunRecord
 from .placement import prepare_start_state
 from .routing import STRATEGIES, RlsConfig, RlsResult, TourInstance, rls_optimize
-from .scenario import (
-    ScenarioConfig,
-    apply_assignments,
-    default_scenario,
-    fmt,
-    parse_config,
-    stream_seed,
-)
+from .scenario import NUMBER, ScenarioConfig, apply_assignments, default_scenario, fmt, parse_config, stream_seed
 
 ALL_METHODS = (METHOD_FAT,) + tuple(proposed_method(s) for s in STRATEGIES)
 
@@ -124,25 +117,15 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _trajectory_text(record: RunRecord) -> str:
-    lines = []
-    for k in range(record.k_end + 1):
-        row = [str(k), fmt(record.dog_trace[k, 0]), fmt(record.dog_trace[k, 1])]
-        for sx, sy in record.sheep_traces[k]:
-            row.append(fmt(sx))
-            row.append(fmt(sy))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    row = "%d" + f",{NUMBER}" * (2 + 2 * record.sheep_traces.shape[1]) + "\n"
+    return "".join(
+        row % (k, *dog.tolist(), *sheep.ravel().tolist())
+        for k, (dog, sheep) in enumerate(zip(record.dog_trace, record.sheep_traces))
+    )
 
 
 def _phases_text(record: RunRecord) -> str:
-    lines = []
-    previous = None
-    for k, phase in enumerate(record.phase_trace):
-        key = (phase.mode, phase.nu)
-        if key != previous:
-            lines.append(f"{k},{phase.mode.value},{phase.nu}")
-            previous = key
-    return "\n".join(lines) + "\n"
+    return "".join(f"{k},{phase.mode.value},{phase.nu}\n" for k, phase in record.phases)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -194,6 +177,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             raise CliError(f"unknown method {m!r}, expected one of {', '.join(ALL_METHODS)}")
     if not methods:
         raise CliError("nothing to run: no methods selected")
+    # A repeated cell or method would run again and count as more trials; cells compare as printed.
+    for what, items in (("grid cell", [f"N={n}, rho={fmt(rho)}" for n, rho in grid]), ("method", methods)):
+        repeated = [item for i, item in enumerate(items) if item in items[:i]]
+        if repeated:
+            raise CliError(f"{what} {repeated[0]} given more than once")
     for n, rho in grid:
         try:
             replace(cfg, n_sheep=n, rho=rho)

@@ -48,8 +48,9 @@ class RunRecord:
     """Outcome of one episode.
 
     dog_trace has shape (k_end + 1, 2) and sheep_traces (k_end + 1, N, 2);
-    row k is the state after k steps. phase_trace[k] is the phase that
-    governed the step out of row k, with a terminal snapshot at k_end.
+    row k is the state after k steps. phases holds the change points
+    (k, phase): phase governs the steps out of row k until the next entry.
+    The last entry is the terminal phase, DONE at k_end on success.
     """
 
     success: bool
@@ -57,7 +58,7 @@ class RunRecord:
     total_distance: float
     dog_trace: np.ndarray
     sheep_traces: np.ndarray
-    phase_trace: tuple[GuidancePhase, ...]
+    phases: tuple[tuple[int, GuidancePhase], ...]
 
 
 def goal_reached(state: FlockState, goal: GoalSpec) -> bool:
@@ -127,14 +128,16 @@ def _run_episode(scenario: ScenarioConfig, controller, initial_state: FlockState
     first_step = state.step
     dog_pts = [state.dog_pos]
     sheep_pts = [state.sheep_pos]
-    phases: list[GuidancePhase] = []
+    phases: list[tuple[int, GuidancePhase]] = []
     total = 0.0
     success = goal_reached(state, scenario.goal)
 
     if not success:
-        for _ in range(scenario.horizon):
+        for k in range(scenario.horizon):
             phase, v_dog = controller(state)
-            phases.append(phase)
+            # The controller hands out a new phase object only when the phase changes.
+            if not phases or phase is not phases[-1][1]:
+                phases.append((k, phase))
             v_sheep = flock_velocities(state, scenario.sheep)
             state = _snapshot(state.step + 1, state.sheep_pos + v_sheep, v_sheep, state.dog_pos + v_dog)
             total += float(np.hypot(v_dog[0], v_dog[1]))
@@ -146,8 +149,10 @@ def _run_episode(scenario: ScenarioConfig, controller, initial_state: FlockState
         # The end state takes the checks that the steps skipped.
         FlockState(step=state.step, sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)
 
+    k_end = state.step - first_step
     terminal = replace(controller.phase, mode=GuidanceMode.DONE) if success else controller.phase
-    phases.append(terminal)
+    if not phases or terminal is not phases[-1][1]:
+        phases.append((k_end, terminal))
 
     dog_trace = np.array(dog_pts)
     sheep_traces = np.array(sheep_pts)
@@ -155,11 +160,11 @@ def _run_episode(scenario: ScenarioConfig, controller, initial_state: FlockState
     sheep_traces.setflags(write=False)
     return RunRecord(
         success=success,
-        k_end=state.step - first_step,
+        k_end=k_end,
         total_distance=total,
         dog_trace=dog_trace,
         sheep_traces=sheep_traces,
-        phase_trace=tuple(phases),
+        phases=tuple(phases),
     )
 
 

@@ -59,6 +59,9 @@ class ScenarioConfig:
         # stream_seed keys on rho * 1e10; the placement radius is sqrt(N / (pi * rho)).
         if not (math.isfinite(self.rho * 1e10) and math.isfinite(self.n_sheep / (math.pi * self.rho))):
             raise ValueError(f"rho={self.rho!r} is out of range: rho * 1e10 or sqrt(N / (pi * rho)) is not finite")
+        (gx, gy), (dx, dy) = self.goal.center.tolist(), self.dog_start.tolist()
+        if not math.isfinite(math.hypot(gx - dx, gy - dy)):
+            raise ValueError(f"x_g={gx!r},{gy!r} and x_d0={dx!r},{dy!r} are out of range: their distance is not finite")
         if self.horizon < 0:
             raise ValueError("T must be non-negative")
         if self.warmup_steps < 0:
@@ -71,9 +74,12 @@ def default_scenario() -> ScenarioConfig:
     return ScenarioConfig()
 
 
+NUMBER = "%.9g"  # the one number spec, which fmt and the trajectory.csv row format share
+
+
 def fmt(x: float) -> str:
     """A number as every config and output file prints it: 9 significant digits."""
-    return f"{x:.9g}"
+    return NUMBER % x
 
 
 _PAIR = "pair"  # two comma-separated floats

@@ -2,10 +2,13 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sheepdog.cli import run_cli
-from sheepdog.scenario import default_scenario, dump_config
+from sheepdog.cli import _trajectory_text, run_cli
+from sheepdog.guidance import RunRecord
+from sheepdog.scenario import default_scenario, dump_config, fmt
 
 TINY = ["--set", "N=3", "--set", "rho=0.01", "--set", "T=5000"]
 
@@ -103,6 +106,26 @@ def test_simulate_trajectory_layout(simulate_out):
         assert int(fields[0]) == k
 
 
+# Every float64 class a trace can hold: ordinary, signed zeros, infinities, nan, subnormals.
+ANY_FLOAT = st.floats(width=64) | st.sampled_from(
+    [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -2.2250738585072e-308, 1.7976931348623157e308]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), rows=st.integers(1, 3), data=st.data())
+def test_trajectory_row_is_fmt_of_each_value(n, rows, data):
+    values = np.array(data.draw(st.lists(ANY_FLOAT, min_size=rows * (2 + 2 * n), max_size=rows * (2 + 2 * n))))
+    block = values.reshape(rows, 2 + 2 * n)
+    record = RunRecord(success=False, k_end=rows - 1, total_distance=0.0, dog_trace=block[:, :2],
+                       sheep_traces=block[:, 2:].reshape(rows, n, 2), phases=())
+    lines = _trajectory_text(record).split("\n")
+    assert lines[-1] == ""
+    assert lines[:-1] == [",".join([str(k)] + [fmt(v) for v in row.tolist()]) for k, row in enumerate(block)]
+    # fmt's %-formatting agrees with the format-spec spelling on every class.
+    assert [fmt(v) for v in values.tolist()] == [format(v, ".9g") for v in values.tolist()]
+
+
 def test_simulate_phase_log(simulate_out):
     method, out = simulate_out
     rows = [r.split(",") for r in (out / "phases.csv").read_text().splitlines()]
@@ -167,6 +190,13 @@ def test_batch_tables(tmp_path):
         ["simulate", "--method", "fat", "--set", "r_d=nan"],
         ["simulate", "--method", "fat", "--set", "K_s1=nan"],
         ["simulate", "--method", "fat", "--set", "K_d2=inf"],
+        ["batch", "--grid", "5;0.01,0.01"],
+        ["batch", "--grid", "5,5;0.01"],
+        ["batch", "--grid", "5;0.0012,0.00120000000001"],
+        ["batch", "--methods", "proposed:reverse,proposed:reverse"],
+        ["batch", "--methods", "fat,fat"],
+        ["simulate", "--method", "fat", "--set", "x_g=1e308,0", "--set", "x_d0=-1e308,0", "--set", "T=200"],
+        ["batch", "--set", "x_g=1e308,0", "--set", "x_d0=-1e308,0", "--set", "T=200"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):

@@ -38,7 +38,7 @@ def make_state(sheep_pos, dog_pos, step=0):
 
 def mode_sequence(record):
     seq = []
-    for phase in record.phase_trace:
+    for _, phase in record.phases:
         if not seq or seq[-1] is not phase.mode:
             seq.append(phase.mode)
     return seq
@@ -58,12 +58,14 @@ def test_goal_reached_trivials():
 def test_zero_horizon_fails_without_moving():
     cfg = ScenarioConfig(n_sheep=2, rho=0.0012, horizon=0)
     state = make_state([[40.0, 0.0], [45.0, 0.0]], cfg.dog_start)
-    rec = run_fat(cfg, initial_state=state)
-    assert not rec.success
-    assert rec.k_end == 0
-    assert rec.total_distance == 0.0
-    assert rec.dog_trace.shape == (1, 2)
-    assert rec.phase_trace[-1].mode is not GuidanceMode.DONE
+    for run, start_mode in ((run_fat(cfg, initial_state=state), GuidanceMode.FINAL_DRIVE),
+                            (run_proposed(cfg, Tour((0, 1)), initial_state=state), GuidanceMode.APPROACH_FIRST)):
+        assert not run.success
+        assert run.k_end == 0
+        assert run.total_distance == 0.0
+        assert run.dog_trace.shape == (1, 2)
+        # Exactly the start phase, never DONE.
+        assert [(k, p.mode, p.nu) for k, p in run.phases] == [(0, start_mode, 1)]
 
 
 def test_already_at_goal_succeeds_immediately():
@@ -74,7 +76,7 @@ def test_already_at_goal_succeeds_immediately():
         assert run.success
         assert run.k_end == 0
         assert run.total_distance == 0.0
-        assert run.phase_trace[-1].mode is GuidanceMode.DONE
+        assert [(k, p.mode, p.nu) for k, p in run.phases] == [(0, GuidanceMode.DONE, 1)]
 
 
 def test_mismatched_sizes_are_rejected():
@@ -180,24 +182,49 @@ def small_cell_run():
 def test_small_cell_episode_succeeds(small_cell_run):
     _, _, rec = small_cell_run
     assert rec.success
-    assert rec.phase_trace[-1].mode is GuidanceMode.DONE
+    k_last, last = rec.phases[-1]
+    assert (k_last, last.mode) == (rec.k_end, GuidanceMode.DONE)
+
+
+def test_phase_change_steps_are_strictly_increasing(small_cell_run):
+    _, _, rec = small_cell_run
+    steps = [k for k, _ in rec.phases]
+    assert steps[0] == 0
+    assert all(a < b for a, b in zip(steps, steps[1:]))
+    assert steps[-1] <= rec.k_end
+
+
+def test_each_phase_entry_is_a_change(small_cell_run):
+    # One entry per change of (mode, nu): the rows phases.csv prints.
+    _, _, rec = small_cell_run
+    keys = [(p.mode, p.nu) for _, p in rec.phases]
+    assert all(a != b for a, b in zip(keys, keys[1:]))
+
+
+def test_cut_short_run_keeps_only_its_changes(small_cell_run):
+    # A run that runs out of time ends on its last change, with no terminal copy.
+    cfg, tour, full = small_cell_run
+    cut = replace(cfg, horizon=full.phases[-2][0] + 5)
+    rec = run_proposed(cut, tour, initial_state=prepare_start_state(cut, base_seed=0, trial=0))
+    assert not rec.success
+    assert rec.phases == full.phases[:-1]
 
 
 def test_phase_modes_only_move_forward(small_cell_run):
     _, _, rec = small_cell_run
-    ranks = [MODE_ORDER.index(p.mode) for p in rec.phase_trace]
+    ranks = [MODE_ORDER.index(p.mode) for _, p in rec.phases]
     assert ranks == sorted(ranks)
 
 
 def test_collected_grows_in_tour_order(small_cell_run):
     _, tour, rec = small_cell_run
     previous = ()
-    for phase in rec.phase_trace:
+    for _, phase in rec.phases:
         assert phase.collected[: len(previous)] == previous
         assert len(phase.collected) >= len(previous)
         previous = phase.collected
     assert previous == tour.order  # every sheep collected, in visiting order
-    nus = [p.nu for p in rec.phase_trace]
+    nus = [p.nu for _, p in rec.phases]
     assert nus == sorted(nus)
 
 
@@ -212,7 +239,6 @@ def test_traces_and_distance_are_consistent(small_cell_run):
     _, _, rec = small_cell_run
     assert rec.dog_trace.shape == (rec.k_end + 1, 2)
     assert rec.sheep_traces.shape[0] == rec.k_end + 1
-    assert len(rec.phase_trace) == rec.k_end + 1
     steps = np.diff(rec.dog_trace, axis=0)
     recomputed = float(np.hypot(steps[:, 0], steps[:, 1]).sum())
     assert rec.total_distance == pytest.approx(recomputed, rel=1e-9)

@@ -1,4 +1,6 @@
 """Scenario configuration: defaults, file format round-trip, seed streams."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,8 +104,18 @@ def _printed(value):
     return f"{value:.9g}" if isinstance(value, float) else str(value)
 
 
+def _goal_to_dog_start_is_finite(values):
+    # The scenario rejects a goal and dog start whose distance overflows.
+    # Keys apply in table order, so x_g meets the default dog start first.
+    (gx, gy) = values["x_g"]
+    return all(
+        math.isfinite(math.hypot(gx - dx, gy - dy))
+        for dx, dy in (default_scenario().dog_start.tolist(), values["x_d0"])
+    )
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.fixed_dictionaries(_KEY_VALUES))
+@given(st.fixed_dictionaries(_KEY_VALUES).filter(_goal_to_dog_start_is_finite))
 def test_dump_parse_round_trip_over_every_key(values):
     keys = list(scenario._CONFIG_KEYS)
     assert sorted(values) == sorted(keys)
@@ -163,6 +175,10 @@ def test_validation_errors():
     for rho in (1e300, 1e-320):
         with pytest.raises(ValueError, match="out of range"):
             ScenarioConfig(rho=rho)
+    # The goal-to-dog-start distance overflows to inf.
+    far_goal = GoalSpec(center=np.array([1e308, 0.0]), radius=20.0)
+    with pytest.raises(ValueError, match="x_g=.* and x_d0=.* are out of range"):
+        ScenarioConfig(goal=far_goal, dog_start=np.array([-1e308, 0.0]))
 
 
 def test_stream_seed_is_pure_and_stream_separated():

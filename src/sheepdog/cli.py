@@ -165,6 +165,8 @@ def _parse_grid(raw: str) -> list[tuple[int, float]]:
         raise CliError(f"bad grid {raw!r}: {exc}") from exc
     if not ns or not rhos:
         raise CliError(f"bad grid {raw!r}: expected 'N1,N2,...;rho1,rho2,...'")
+    if len(set(ns)) < len(ns) or len({fmt(rho) for rho in rhos}) < len(rhos):
+        raise CliError(f"bad grid {raw!r}: an N or a printed rho is given more than once")
     return [(n, rho) for n in ns for rho in rhos]
 
 
@@ -177,11 +179,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             raise CliError(f"unknown method {m!r}, expected one of {', '.join(ALL_METHODS)}")
     if not methods:
         raise CliError("nothing to run: no methods selected")
-    # A repeated cell or method would run again and count as more trials; cells compare as printed.
-    for what, items in (("grid cell", [f"N={n}, rho={fmt(rho)}" for n, rho in grid]), ("method", methods)):
-        repeated = [item for i, item in enumerate(items) if item in items[:i]]
-        if repeated:
-            raise CliError(f"{what} {repeated[0]} given more than once")
+    if len(set(methods)) < len(methods):
+        raise CliError(f"bad methods {args.methods!r}: a method is given more than once")
     for n, rho in grid:
         try:
             replace(cfg, n_sheep=n, rho=rho)

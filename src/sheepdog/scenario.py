@@ -130,20 +130,19 @@ def _parse(raw: str, key: str, kind) -> int | float | np.ndarray:
         raise ValueError(f"bad value for {key}: {raw!r}") from exc
 
 
-def _assign(obj, path: tuple[str, ...], value):
-    """obj with the field at path set, rebuilt through every dataclass on the way."""
-    head, *rest = path
-    return replace(obj, **{head: _assign(getattr(obj, head), rest, value) if rest else value})
-
-
 def apply_assignments(cfg: ScenarioConfig, pairs: list[tuple[str, str]]) -> ScenarioConfig:
-    """Apply (key, raw value) assignments to cfg; unknown keys are rejected."""
+    """Apply (key, raw value) assignments to cfg; unknown keys are rejected, a repeated key takes its last value.
+
+    cfg is rebuilt once, after every value is parsed, so checks across keys see only the final values.
+    """
+    groups: dict[tuple[str, ...], dict] = {}  # () for top-level fields, (name,) for a nested dataclass
     for key, raw in pairs:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        path, kind = _CONFIG_KEYS[key]
-        cfg = _assign(cfg, path, _parse(raw.strip(), key, kind))
-    return cfg
+        (*group, name), kind = _CONFIG_KEYS[key]
+        groups.setdefault(tuple(group), {})[name] = _parse(raw.strip(), key, kind)
+    top = groups.pop((), {})
+    return replace(cfg, **top, **{head: replace(getattr(cfg, head), **fields) for (head,), fields in groups.items()})
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -106,12 +106,8 @@ def _printed(value):
 
 def _goal_to_dog_start_is_finite(values):
     # The scenario rejects a goal and dog start whose distance overflows.
-    # Keys apply in table order, so x_g meets the default dog start first.
-    (gx, gy) = values["x_g"]
-    return all(
-        math.isfinite(math.hypot(gx - dx, gy - dy))
-        for dx, dy in (default_scenario().dog_start.tolist(), values["x_d0"])
-    )
+    (gx, gy), (dx, dy) = values["x_g"], values["x_d0"]
+    return math.isfinite(math.hypot(gx - dx, gy - dy))
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,6 +154,25 @@ def test_apply_assignments_overrides_individual_keys():
     assert cfg.goal.radius == 12.5
     assert np.array_equal(cfg.dog_start, [1.0, 2.0])
     assert cfg.rho == pytest.approx(0.0012)  # untouched
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        # Each point is a finite distance from the other, not from the other's default.
+        [("x_g", "1.5e308,1.5e308"), ("x_d0", "1.4e308,1.4e308")],
+        # rho alone is out of range for the default N = 20, not for N = 1.
+        [("rho", "1e-308"), ("N", "1")],
+    ],
+)
+def test_cross_key_checks_see_only_final_values(pairs):
+    forward, backward = (apply_assignments(default_scenario(), order) for order in (pairs, pairs[::-1]))
+    assert dump_config(forward) == dump_config(backward)
+
+
+def test_apply_assignments_takes_the_last_of_a_repeated_key():
+    cfg = apply_assignments(default_scenario(), [("N", "0"), ("T", "7"), ("N", "5")])
+    assert (cfg.n_sheep, cfg.horizon) == (5, 7)
 
 
 def test_validation_errors():

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 from .guidance import RunRecord, run_fat, run_proposed
 from .placement import prepare_start_state
-from .routing import RlsConfig, RlsResult, TourInstance, rls_optimize
+from .routing import STRATEGIES, RlsConfig, RlsResult, TourInstance, rls_optimize
 from .scenario import ScenarioConfig, fmt, stream_seed
 
 METHOD_FAT = "fat"
@@ -20,14 +20,14 @@ def proposed_method(strategy: str) -> str:
     return f"proposed:{strategy}"
 
 
+ALL_METHODS = (METHOD_FAT,) + tuple(proposed_method(s) for s in STRATEGIES)
+
+
 def method_strategy(method: str) -> str | None:
-    """Strategy of a proposed method, or None for the baseline."""
-    if method == METHOD_FAT:
-        return None
-    prefix, _, strategy = method.partition(":")
-    if prefix != "proposed" or not strategy:
-        raise ValueError(f"unknown method {method!r}")
-    return strategy
+    """Strategy of a proposed method, or None for the baseline; any other name is rejected."""
+    if method not in ALL_METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {', '.join(ALL_METHODS)}")
+    return None if method == METHOD_FAT else method.partition(":")[2]
 
 
 @dataclass(frozen=True)

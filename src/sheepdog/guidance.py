@@ -22,7 +22,6 @@ import numpy as np
 
 from .dog import _check_candidates, approach_velocity, steering_command
 from .flock import FlockState, _snapshot, flock_velocities
-from .placement import prepare_start_state
 from .routing import Tour
 from .scenario import GoalSpec, ScenarioConfig
 
@@ -120,8 +119,13 @@ class _TourController:
         return phase, steering_command(state, scenario.dog, self._candidates, destination)
 
 
-def _run_episode(scenario: ScenarioConfig, controller, initial_state: FlockState | None) -> RunRecord:
-    state = initial_state if initial_state is not None else prepare_start_state(scenario)
+# Overflow warnings are silenced once per episode, not per kernel call. A
+# sheep about 1.3e154 or more from the dog overflows the square in the
+# flight term's denominator to inf, and the term is 0, which is its limit.
+# Any other overflow leaves a non-finite state, which the end check rejects
+# ("flock state must be finite").
+@np.errstate(over="ignore")
+def _run_episode(scenario: ScenarioConfig, controller, state: FlockState) -> RunRecord:
     if state.n != scenario.n_sheep:
         raise ValueError(f"state has {state.n} sheep, scenario expects {scenario.n_sheep}")
 
@@ -168,14 +172,14 @@ def _run_episode(scenario: ScenarioConfig, controller, initial_state: FlockState
     )
 
 
-def run_fat(scenario: ScenarioConfig, initial_state: FlockState | None = None) -> RunRecord:
+def run_fat(scenario: ScenarioConfig, initial_state: FlockState) -> RunRecord:
     """Drive-only baseline episode; no tour is needed."""
     every = tuple(range(scenario.n_sheep))
     controller = _TourController(scenario, every, GuidancePhase(GuidanceMode.FINAL_DRIVE, 1, every))
     return _run_episode(scenario, controller, initial_state)
 
 
-def run_proposed(scenario: ScenarioConfig, tour: Tour, initial_state: FlockState | None = None) -> RunRecord:
+def run_proposed(scenario: ScenarioConfig, tour: Tour, initial_state: FlockState) -> RunRecord:
     """Tour-guided episode: approach, gather sheep by sheep, then final drive."""
     if tour.n != scenario.n_sheep:
         raise ValueError(f"tour over {tour.n} sheep does not match scenario of {scenario.n_sheep}")

@@ -38,6 +38,7 @@ def initial_placement(config: ScenarioConfig, rng: np.random.Generator) -> Flock
     )
 
 
+@np.errstate(over="ignore")  # sound for the reason guidance._run_episode gives
 def warmup(state: FlockState, params, steps: int) -> FlockState:
     """Let the flock settle for steps updates while the dog stands still.
 
@@ -52,16 +53,13 @@ def warmup(state: FlockState, params, steps: int) -> FlockState:
     return replace(state)
 
 
-def prepare_start_state(config: ScenarioConfig, *, base_seed: int | None = None, trial: int = 0) -> FlockState:
+def prepare_start_state(config: ScenarioConfig, *, base_seed: int, trial: int = 0) -> FlockState:
     """Place, warm up, and restart the clock; this state is step 0 of an episode.
 
     The settled velocities are kept so the first episode step sees the
     same headings the warm-up ended with.
     """
-    seed = stream_seed(
-        config.seed if base_seed is None else base_seed,
-        config.n_sheep, config.rho, trial, "placement",
-    )
+    seed = stream_seed(base_seed, config.n_sheep, config.rho, trial, "placement")
     state = initial_placement(config, np.random.default_rng(seed))
     state = warmup(state, config.sheep, config.warmup_steps)
     return replace(state, step=0)

@@ -43,7 +43,6 @@ class ScenarioConfig:
     sheep: SheepParams = SheepParams()
     dog: DogParams = DogParams()
     warmup_steps: int = 50
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.goal is None:
@@ -66,8 +65,6 @@ class ScenarioConfig:
             raise ValueError("T must be non-negative")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def default_scenario() -> ScenarioConfig:

@@ -207,6 +207,39 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def _undecodable_config(tmp):
+    (tmp / "bad.cfg").write_bytes(b"N = 5\n\xff\xfe = 3\n")
+    return ["plan", "--config", str(tmp / "bad.cfg"), "--out", str(tmp / "out")]
+
+
+def _out_is_a_file(tmp):
+    (tmp / "out").write_text("")
+    return ["plan", *TINY, "--iterations", "10", "--out", str(tmp / "out")]
+
+
+def _trajectory_is_a_directory(tmp):
+    (tmp / "out" / "trajectory.csv").mkdir(parents=True)
+    return ["simulate", "--method", "fat", *TINY, "--set", "T=5", "--out", str(tmp / "out")]
+
+
+@pytest.mark.parametrize("setup", [_undecodable_config, _out_is_a_file, _trajectory_is_a_directory])
+def test_io_errors_exit_two(setup, tmp_path, capsys):
+    code = run_cli(setup(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_far_flock_runs_without_overflow_warnings(tmp_path):
+    # The flight term's square overflows once a sheep is ~1.3e154 from the dog; its limit, 0, is
+    # the right value, so the run is data (exit 0), and pytest turns any RuntimeWarning into an error.
+    argv = ["simulate", "--method", "fat", "--set", "x_g=1e308,0", "--set", "x_d0=-7e307,0",
+            "--set", "T=200", "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    assert read_kv(tmp_path / "run_summary.txt")["success"] == "0"
+
+
 # ------------------------------------------------------------------ entry point
 
 def test_module_entry_point(tmp_path):

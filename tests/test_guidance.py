@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import assume, given, settings, strategies as st
 
 from _dog_oracle import farthest_from, nearest_to_dog
 from sheepdog import flock, guidance
@@ -296,3 +297,47 @@ def test_fat_run_mirrors_with_the_initial_condition():
     assert rec_m.k_end == rec.k_end
     assert np.allclose(rec_m.dog_trace, rec.dog_trace * mirror, atol=1e-9)
     assert np.allclose(rec_m.sheep_traces, rec.sheep_traces * mirror, atol=1e-9)
+
+
+# The axis symmetries of the plane; each maps an (..., 2) array of points exactly.
+AXIS_MAPS = {
+    "mirror_x": lambda a: a * np.array([-1.0, 1.0]),
+    "swap_xy": lambda a: a[..., ::-1],
+    "rotate_90": lambda a: np.stack((-a[..., 1], a[..., 0]), axis=-1),
+}
+COORD = st.floats(-80.0, 80.0, allow_subnormal=False)
+SPEED = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+def _unit_x_fires(rec, goal):
+    """True when a state of rec has coincident sheep, a dog on a sheep or a dog on the goal."""
+    sheep, dog = rec.sheep_traces, rec.dog_trace
+    pairs = (sheep[:, :, None] == sheep[:, None, :]).all(axis=-1).sum(axis=(1, 2))
+    on_sheep = (sheep == dog[:, None, :]).all(axis=-1)
+    return bool((pairs > sheep.shape[1]).any() or on_sheep.any() or (dog == goal).all(axis=-1).any())
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), horizon=st.integers(0, 300), proposed=st.booleans(),
+       axis_map=st.sampled_from(sorted(AXIS_MAPS)), data=st.data())
+def test_whole_episodes_are_equivariant_under_axis_symmetries(n, horizon, proposed, axis_map, data):
+    sheep = np.array(data.draw(st.lists(st.tuples(COORD, COORD), min_size=n, max_size=n)))
+    vel = np.array(data.draw(st.lists(st.tuples(SPEED, SPEED), min_size=n, max_size=n)))
+    dog, goal = np.array(data.draw(st.tuples(COORD, COORD))), np.array(data.draw(st.tuples(COORD, COORD)))
+    tour = Tour(tuple(data.draw(st.permutations(range(n)))))
+
+    def episode(f):
+        cfg = ScenarioConfig(n_sheep=n, horizon=horizon, goal=GoalSpec(f(goal), 20.0), dog_start=f(dog))
+        state = FlockState(step=0, sheep_pos=f(sheep), sheep_vel_prev=f(vel), dog_pos=f(dog))
+        return run_proposed(cfg, tour, initial_state=state) if proposed else run_fat(cfg, initial_state=state)
+
+    rec = episode(lambda a: a)
+    # UNIT_X stands in for the undefined direction in any such state, which breaks the symmetry by design.
+    assume(not _unit_x_fires(rec, goal))
+    f = AXIS_MAPS[axis_map]
+    mapped = episode(f)
+    # Bit for bit but for the sign of a zero: x - x is +0.0 however x is mapped, so + 0.0 drops it.
+    assert (f(rec.dog_trace) + 0.0).tobytes() == (mapped.dog_trace + 0.0).tobytes()
+    assert (f(rec.sheep_traces) + 0.0).tobytes() == (mapped.sheep_traces + 0.0).tobytes()
+    assert (mapped.success, mapped.k_end, mapped.total_distance) == (rec.success, rec.k_end, rec.total_distance)
+    assert mapped.phases == rec.phases

@@ -100,13 +100,6 @@ def test_prepare_start_state_paired_and_trial_separated():
     assert not np.array_equal(a.sheep_pos, c.sheep_pos)
 
 
-def test_prepare_start_state_uses_config_seed_when_unspecified():
-    cfg = ScenarioConfig(n_sheep=6, rho=0.0010, seed=77)
-    explicit = prepare_start_state(cfg, base_seed=77, trial=0)
-    implicit = prepare_start_state(cfg, trial=0)
-    assert np.array_equal(explicit.sheep_pos, implicit.sheep_pos)
-
-
 def test_warmup_respects_interaction_parameters():
     # With every gain off the warm-up must not move anything.
     cfg = ScenarioConfig(n_sheep=12, rho=0.0012)

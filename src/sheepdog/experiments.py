@@ -73,8 +73,15 @@ def run_trial(
     base_seed: int,
     trial: int,
     iterations: int,
+    *,
+    record: bool = True,
 ) -> dict[str, MethodOutcome]:
-    """Run every method once from the shared warmed start state."""
+    """Run every method once from the shared warmed start state.
+
+    record=False runs the episodes without traces. A batch keeps only
+    success, k_end and J, so run_batch does not record: a failed N = 20
+    fat episode would otherwise stack 10,001 snapshots it throws away.
+    """
     start = prepare_start_state(config, base_seed=base_seed, trial=trial)
     instance = TourInstance(
         dog_start=start.dog_pos,
@@ -85,11 +92,11 @@ def run_trial(
     for method in methods:
         strategy = method_strategy(method)
         if strategy is None:
-            outcomes[method] = MethodOutcome(method, run_fat(config, initial_state=start), None)
+            outcomes[method] = MethodOutcome(method, run_fat(config, initial_state=start, record=record), None)
         else:
             seed = stream_seed(base_seed, config.n_sheep, config.rho, trial, f"plan:{strategy}")
             plan = rls_optimize(instance, RlsConfig(strategy, iterations, seed))
-            run = run_proposed(config, plan.best_tour, initial_state=start)
+            run = run_proposed(config, plan.best_tour, initial_state=start, record=record)
             outcomes[method] = MethodOutcome(method, run, plan)
     return outcomes
 
@@ -126,7 +133,7 @@ def run_batch(
     for n, rho in grid:
         config = replace(base, n_sheep=n, rho=rho)
         for trial in range(trials):
-            outcomes = run_trial(config, methods, base_seed, trial, iterations)
+            outcomes = run_trial(config, methods, base_seed, trial, iterations, record=False)
             records.extend(_record(config, trial, outcomes[m]) for m in methods)
     return records, summarize(records)
 

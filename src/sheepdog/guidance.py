@@ -46,10 +46,13 @@ class GuidancePhase:
 class RunRecord:
     """Outcome of one episode.
 
-    dog_trace has shape (k_end + 1, 2) and sheep_traces (k_end + 1, N, 2);
-    row k is the state after k steps. phases holds the change points
-    (k, phase): phase governs the steps out of row k until the next entry.
-    The last entry is the terminal phase, DONE at k_end on success.
+    Recorded, dog_trace holds k_end + 1 rows, shape (k_end + 1, 2), and
+    sheep_traces shape (k_end + 1, N, 2); row k is the state after k
+    steps. Unrecorded, both hold zero rows, shapes (0, 2) and (0, N, 2),
+    and every other field is as recorded. Both are read-only.
+    phases holds the change points (k, phase): phase governs the steps
+    out of row k until the next entry. The last entry is the terminal
+    phase, DONE at k_end on success.
     """
 
     success: bool
@@ -125,7 +128,7 @@ class _TourController:
 # Any other overflow leaves a non-finite state, which the end check rejects
 # ("flock state must be finite").
 @np.errstate(over="ignore")
-def _run_episode(scenario: ScenarioConfig, controller, state: FlockState) -> RunRecord:
+def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, record: bool) -> RunRecord:
     if state.n != scenario.n_sheep:
         raise ValueError(f"state has {state.n} sheep, scenario expects {scenario.n_sheep}")
 
@@ -145,8 +148,9 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState) -> Run
             v_sheep = flock_velocities(state, scenario.sheep)
             state = _snapshot(state.step + 1, state.sheep_pos + v_sheep, v_sheep, state.dog_pos + v_dog)
             total += float(np.hypot(v_dog[0], v_dog[1]))
-            dog_pts.append(state.dog_pos)
-            sheep_pts.append(state.sheep_pos)
+            if record:
+                dog_pts.append(state.dog_pos)
+                sheep_pts.append(state.sheep_pos)
             if goal_reached(state, scenario.goal):
                 success = True
                 break
@@ -158,8 +162,10 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState) -> Run
     if not phases or terminal is not phases[-1][1]:
         phases.append((k_end, terminal))
 
-    dog_trace = np.array(dog_pts)
-    sheep_traces = np.array(sheep_pts)
+    if record:
+        dog_trace, sheep_traces = np.array(dog_pts), np.array(sheep_pts)
+    else:
+        dog_trace, sheep_traces = np.empty((0, 2)), np.empty((0, state.n, 2))
     dog_trace.setflags(write=False)
     sheep_traces.setflags(write=False)
     return RunRecord(
@@ -172,16 +178,18 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState) -> Run
     )
 
 
-def run_fat(scenario: ScenarioConfig, initial_state: FlockState) -> RunRecord:
-    """Drive-only baseline episode; no tour is needed."""
+def run_fat(scenario: ScenarioConfig, initial_state: FlockState, *, record: bool = True) -> RunRecord:
+    """Drive-only baseline episode; no tour is needed. record=False keeps no traces."""
     every = tuple(range(scenario.n_sheep))
     controller = _TourController(scenario, every, GuidancePhase(GuidanceMode.FINAL_DRIVE, 1, every))
-    return _run_episode(scenario, controller, initial_state)
+    return _run_episode(scenario, controller, initial_state, record)
 
 
-def run_proposed(scenario: ScenarioConfig, tour: Tour, initial_state: FlockState) -> RunRecord:
-    """Tour-guided episode: approach, gather sheep by sheep, then final drive."""
+def run_proposed(
+    scenario: ScenarioConfig, tour: Tour, initial_state: FlockState, *, record: bool = True
+) -> RunRecord:
+    """Tour-guided episode: approach, gather, final drive. record=False keeps no traces."""
     if tour.n != scenario.n_sheep:
         raise ValueError(f"tour over {tour.n} sheep does not match scenario of {scenario.n_sheep}")
     controller = _TourController(scenario, tour.order, GuidancePhase(GuidanceMode.APPROACH_FIRST, 1, ()))
-    return _run_episode(scenario, controller, initial_state)
+    return _run_episode(scenario, controller, initial_state, record)

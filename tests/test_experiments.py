@@ -1,8 +1,10 @@
 """Paired trials, grid batches, and the CSV tables built from them."""
 import math
+from dataclasses import replace
 
 import pytest
 
+from sheepdog import experiments
 from sheepdog.experiments import (
     METHOD_FAT,
     BatchSummary,
@@ -137,6 +139,43 @@ def test_batch_without_fat_or_methods():
     with pytest.raises(ValueError):
         run_batch(tiny_config(), grid=[(2, 0.02)], trials=1,
                   strategies=[], base_seed=0, include_fat=False)
+
+
+@pytest.mark.parametrize("base_seed", [0, 1])
+def test_unrecorded_batch_matches_recorded_trials(monkeypatch, base_seed):
+    # run_batch keeps no traces; its records must equal those of recorded
+    # trials field for field, J by ==, full-horizon failures included.
+    base = ScenarioConfig(horizon=300)
+    grid = [(3, 0.01), (20, 0.0012)]
+    runs = []
+
+    def kept(fn):
+        def wrapper(*args, **kwargs):
+            runs.append(fn(*args, **kwargs))
+            return runs[-1]
+        return wrapper
+
+    monkeypatch.setattr(experiments, "run_fat", kept(experiments.run_fat))
+    monkeypatch.setattr(experiments, "run_proposed", kept(experiments.run_proposed))
+    records, _ = run_batch(base, grid, trials=2, strategies=["reverse", "exchange", "jump"],
+                           base_seed=base_seed, iterations=200)
+    assert len(runs) == len(records) == 16
+    assert all(run.dog_trace.shape == (0, 2) for run in runs)
+    monkeypatch.undo()
+
+    expected = []
+    for n, rho in grid:
+        config = replace(base, n_sheep=n, rho=rho)
+        for trial in range(2):
+            outcomes = run_trial(config, ALL_METHODS, base_seed, trial, 200, record=True)
+            for method in ALL_METHODS:
+                run, plan = outcomes[method].run, outcomes[method].plan
+                assert run.dog_trace.shape[0] == run.k_end + 1
+                expected.append(TrialRecord(
+                    n, rho, trial, method, run.success, run.k_end, run.total_distance,
+                    None if plan is None else plan.initial_cost, None if plan is None else plan.best_cost))
+    assert records == expected
+    assert {(r.success, r.k_end == 300) for r in records} == {(True, False), (False, True)}
 
 
 def test_summary_mean_over_successes_is_nan_when_none_succeed():

@@ -192,6 +192,7 @@ def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):
     dense_start, dense = episode()
     assert sparse_start.sheep_pos.tobytes() == dense_start.sheep_pos.tobytes()
     assert sparse.k_end == dense.k_end
+    assert sparse.dog_trace.shape[0] == dense.dog_trace.shape[0] == sparse.k_end + 1
     assert sparse.sheep_traces.tobytes() == dense.sheep_traces.tobytes()
     assert sparse.dog_trace.tobytes() == dense.dog_trace.tobytes()
     assert sparse.total_distance == dense.total_distance

@@ -1,4 +1,6 @@
 """Episode orchestration: goal test, phase machine, both guidance laws."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -93,8 +95,8 @@ def test_mismatched_sizes_are_rejected():
 
 @pytest.mark.parametrize("method", ["fat", "proposed"])
 def test_non_finite_state_mid_episode_raises(monkeypatch, method):
-    # Steps are unchecked snapshots; the end state is validated, and a
-    # non-finite velocity leaves every later position non-finite.
+    # Steps are unchecked snapshots; the end state is validated, recorded
+    # or not, and a non-finite velocity leaves every later position non-finite.
     cfg = ScenarioConfig(n_sheep=5, rho=0.0012, horizon=40)
     start = prepare_start_state(cfg, base_seed=0, trial=3)
     calls = []
@@ -105,13 +107,15 @@ def test_non_finite_state_mid_episode_raises(monkeypatch, method):
         return np.full_like(v, np.inf) if len(calls) == 10 else v
 
     monkeypatch.setattr(guidance, "flock_velocities", blows_up_at_step_ten)
-    # The steps after the blow-up run on inf and nan until the end check.
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flock state must be finite"):
-        if method == "fat":
-            run_fat(cfg, initial_state=start)
-        else:
-            run_proposed(cfg, Tour(tuple(range(5))), initial_state=start)
-    assert len(calls) > 10
+    for record in (True, False):
+        calls.clear()
+        # The steps after the blow-up run on inf and nan until the end check.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flock state must be finite"):
+            if method == "fat":
+                run_fat(cfg, initial_state=start, record=record)
+            else:
+                run_proposed(cfg, Tour(tuple(range(5))), initial_state=start, record=record)
+        assert len(calls) > 10
 
 
 def test_steps_do_not_go_through_a_patched_flock_state(monkeypatch):
@@ -131,6 +135,8 @@ def test_steps_do_not_go_through_a_patched_flock_state(monkeypatch):
     wrapped = run_fat(cfg, initial_state=start)
     assert len(builds) == 1
     assert wrapped.k_end == plain.k_end > 0
+    # Two zero-row traces would compare equal below without checking a step.
+    assert wrapped.dog_trace.shape[0] == plain.dog_trace.shape[0] == plain.k_end + 1
     assert wrapped.sheep_traces.tobytes() == plain.sheep_traces.tobytes()
     assert wrapped.dog_trace.tobytes() == plain.dog_trace.tobytes()
 
@@ -255,6 +261,49 @@ def test_episode_is_deterministic(small_cell_run):
     assert np.array_equal(again.sheep_traces, rec.sheep_traces)
 
 
+def _assert_same_run_without_traces(bare, rec):
+    n = rec.sheep_traces.shape[1]
+    assert rec.dog_trace.shape[0] == rec.k_end + 1
+    assert bare.dog_trace.shape == (0, 2)
+    assert bare.sheep_traces.shape == (0, n, 2)
+    assert not bare.dog_trace.flags.writeable and not bare.sheep_traces.flags.writeable
+    assert (bare.success, bare.k_end, bare.total_distance) == (rec.success, rec.k_end, rec.total_distance)
+    assert bare.phases == rec.phases
+
+
+def test_unrecorded_run_keeps_everything_but_the_traces(small_cell_run):
+    cfg, tour, rec = small_cell_run
+    bare = run_proposed(cfg, tour, initial_state=prepare_start_state(cfg, base_seed=0, trial=0), record=False)
+    assert rec.success and len(rec.phases) == 12  # approach, ten collections, done
+    _assert_same_run_without_traces(bare, rec)
+
+
+def test_unrecorded_failed_fat_run_keeps_everything_but_the_traces():
+    cfg = ScenarioConfig(n_sheep=20, rho=0.0012, horizon=300)
+    start = prepare_start_state(cfg, base_seed=0, trial=0)
+    rec = run_fat(cfg, initial_state=start)
+    assert not rec.success and rec.k_end == 300
+    _assert_same_run_without_traces(run_fat(cfg, initial_state=start, record=False), rec)
+
+
+def test_unrecorded_episode_peak_memory_stays_flat():
+    # A recorded episode keeps a snapshot per step; an unrecorded one keeps none.
+    cfg = ScenarioConfig(n_sheep=20, rho=0.0012, horizon=1000)
+    start = prepare_start_state(cfg, base_seed=0)
+    run_fat(replace(cfg, horizon=5), initial_state=start, record=False)  # first-call allocations
+    peaks = {}
+    for record in (False, True):
+        tracemalloc.start()
+        try:
+            rec = run_fat(cfg, initial_state=start, record=record)
+            peaks[record] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rec.success, rec.k_end) == (False, 1000)
+    assert peaks[False] < 200_000
+    assert peaks[False] < peaks[True] / 10
+
+
 # ------------------------------------------------------------------- drive law
 
 def test_fat_trace_matches_manual_stepping():
@@ -336,6 +385,7 @@ def test_whole_episodes_are_equivariant_under_axis_symmetries(n, horizon, propos
     assume(not _unit_x_fires(rec, goal))
     f = AXIS_MAPS[axis_map]
     mapped = episode(f)
+    assert rec.dog_trace.shape[0] == mapped.dog_trace.shape[0] == rec.k_end + 1
     # Bit for bit but for the sign of a zero: x - x is +0.0 however x is mapped, so + 0.0 drops it.
     assert (f(rec.dog_trace) + 0.0).tobytes() == (mapped.dog_trace + 0.0).tobytes()
     assert (f(rec.sheep_traces) + 0.0).tobytes() == (mapped.sheep_traces + 0.0).tobytes()

@@ -5,6 +5,8 @@ while an inverse-square term keeps the dog off the nearest candidate's
 back and a unit term pushes it away from the destination, so the dog
 ends up herding from the far side. The approach law is the same chase
 without the destination term, used to reach the first sheep of a tour.
+Both take every sheep's distance to the dog, and the drive its distance
+to the destination, as rows the episode loop computes once per state.
 
 The laws work on Python floats, which costs far less per step than
 numpy 2-vectors and gives the same bits: a length is abs(complex(x, y)),
@@ -65,20 +67,26 @@ def _check_candidates(candidates: Iterable[int], n: int) -> _Candidates:
     return _Candidates(None if idx.size == n else idx)
 
 
-def _select(state: FlockState, idx: np.ndarray | None, point, farthest: bool) -> int:
-    """Candidate farthest from (or nearest to) point; ties go to the smallest index."""
-    pos = state.sheep_pos if idx is None else state.sheep_pos[idx]
-    dist = np.hypot(pos[:, 0] - point[0], pos[:, 1] - point[1])
+def _pick(dist: np.ndarray, idx: np.ndarray | None, farthest: bool) -> int:
+    """Candidate with the largest (or smallest) of the per-sheep distances
+    dist; ties go to the smallest index."""
+    if idx is not None:
+        dist = dist.take(idx)
     k = int(dist.argmax() if farthest else dist.argmin())
     return k if idx is None else int(idx[k])
 
 
+def _length(x: float, y: float) -> float:
+    """Length of (x, y) as np.hypot gives it: inf where it overflows."""
+    try:
+        return abs(complex(x, y))
+    except OverflowError:  # finite legs whose hypot exceeds the largest float
+        return math.inf
+
+
 def _unit(x: float, y: float) -> tuple[float, float, float]:
     """Direction of (x, y) and its length clamped below by EPS; zero points along +x."""
-    try:
-        length = abs(complex(x, y))
-    except OverflowError:  # finite legs whose hypot exceeds the largest float
-        length = math.inf
+    length = _length(x, y)
     clamped = max(length, EPS)
     if length == 0.0:
         return 1.0, 0.0, clamped
@@ -113,12 +121,15 @@ def dog_velocity(
     return np.array((ka * ax + rx + kg * gx, ka * ay + ry + kg * gy))
 
 
-def approach_velocity(state: FlockState, params: DogParams, target: np.ndarray) -> np.ndarray:
-    """Approach velocity toward target with the stand-off term over all sheep."""
+def approach_velocity(state: FlockState, params: DogParams, target: np.ndarray, to_dog: np.ndarray) -> np.ndarray:
+    """Approach velocity toward target with the stand-off term over all sheep.
+
+    to_dog holds every sheep's distance to the dog in this state.
+    """
     dog = state.dog_pos.tolist()
     tx, ty = np.asarray(target, dtype=float).tolist()
     ax, ay, _ = _unit(tx - dog[0], ty - dog[1])
-    nearest = _select(state, None, dog, False)
+    nearest = int(to_dog.argmin())
     rx, ry = _stand_off(params, dog, state.sheep_pos[nearest].tolist())
     ka = params.k_attraction
     return np.array((ka * ax + rx, ka * ay + ry))
@@ -129,14 +140,16 @@ def steering_command(
     params: DogParams,
     candidates: Iterable[int],
     destination: np.ndarray,
+    to_dog: np.ndarray,
+    to_destination: np.ndarray,
 ) -> np.ndarray:
     """Drive velocity: track the candidate farthest from destination, stand off the one nearest the dog.
 
     With all sheep as candidates and the goal as destination this is the
-    classic farthest-agent-tracking drive.
+    classic farthest-agent-tracking drive. to_dog and to_destination hold
+    every sheep's distance to the dog and to destination in this state.
     """
     idx = _check_candidates(candidates, state.n).idx
-    destination = np.asarray(destination, dtype=float)
-    tracked = _select(state, idx, destination.tolist(), True)
-    nearest = _select(state, idx, state.dog_pos.tolist(), False)
+    tracked = _pick(to_destination, idx, True)
+    nearest = _pick(to_dog, idx, False)
     return dog_velocity(state, params, tracked, nearest, destination)

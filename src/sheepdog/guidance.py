@@ -12,6 +12,16 @@ state is one, and the end state is rebuilt through the checked
 constructor, which raises if any value turned non-finite on the way (a
 non-finite position or velocity leaves every later position non-finite).
 The steps in between are unchecked snapshots.
+
+Each state's distances are taken once. One (2, 2, N) difference of the
+sheep against the dog and the goal centre and one ``np.hypot`` give
+every sheep's distance to both. The goal check reads the goal row; the
+controller's contact test, its choice of the sheep to track and to
+stand off, and the drive's farthest sheep read the two rows. A gather
+target's distances are taken once per step, and again only when a
+collection moves the target within that step. The kernel, the dog laws
+and the goal check are called through this module's names, where a
+tracer can wrap them.
 """
 from __future__ import annotations
 
@@ -20,10 +30,11 @@ from enum import Enum
 
 import numpy as np
 
-from .dog import _check_candidates, approach_velocity, steering_command
+from .dog import _check_candidates, _length, approach_velocity, steering_command
 from .flock import FlockState, _snapshot, flock_velocities
 from .routing import Tour
 from .scenario import GoalSpec, ScenarioConfig
+from .vec import distances
 
 
 class GuidanceMode(Enum):
@@ -63,10 +74,10 @@ class RunRecord:
     phases: tuple[tuple[int, GuidancePhase], ...]
 
 
-def goal_reached(state: FlockState, goal: GoalSpec) -> bool:
-    """True when every sheep lies within the goal disk (boundary inclusive)."""
-    diff = state.sheep_pos - goal.center
-    return bool(np.hypot(diff[:, 0], diff[:, 1]).max() <= goal.radius)
+def goal_reached(to_goal: np.ndarray, goal: GoalSpec) -> bool:
+    """True when every sheep lies within the goal disk (boundary inclusive),
+    given every sheep's distance to the goal centre."""
+    return bool(to_goal.max() <= goal.radius)
 
 
 class _TourController:
@@ -95,31 +106,34 @@ class _TourController:
         )
         self._enter(GuidancePhase(mode, self.phase.nu + 1, collected))
 
-    def _advance(self, state: FlockState) -> None:
+    def __call__(self, state: FlockState, dists: np.ndarray) -> tuple[GuidancePhase, np.ndarray]:
+        """Phase and dog velocity for state; dists holds every sheep's
+        distance to the dog (row 0) and to the goal centre (row 1)."""
         phase = self.phase
         order = self._order
+        scenario = self._scenario
         pos = state.sheep_pos
+        to_dog = dists[0]
+        to_target = None
         if phase.mode is GuidanceMode.APPROACH_FIRST:
-            gap = pos[order[0]] - state.dog_pos
-            if np.hypot(gap[0], gap[1]) <= self._scenario.dog.r_d:
+            if to_dog[order[0]] <= scenario.dog.r_d:
                 self._collect((order[0],))
         elif phase.mode is GuidanceMode.PROVISIONAL_GATHER:
-            diff = pos[self._candidates.idx] - pos[order[phase.nu - 1]]
-            if np.hypot(diff[:, 0], diff[:, 1]).max() <= self._scenario.goal.radius:
+            to_target = distances(pos, pos[order[phase.nu - 1], :, None])
+            if to_target.take(self._candidates.idx).max() <= scenario.goal.radius:
                 self._collect(phase.collected + (order[phase.nu - 1],))
+                to_target = None  # the collection moved the target
 
-    def __call__(self, state: FlockState) -> tuple[GuidancePhase, np.ndarray]:
-        self._advance(state)
         phase = self.phase
-        scenario = self._scenario
         if phase.mode is GuidanceMode.APPROACH_FIRST:
-            target = state.sheep_pos[self._order[0]]
-            return phase, approach_velocity(state, scenario.dog, target)
+            return phase, approach_velocity(state, scenario.dog, pos[order[0]], to_dog)
         if phase.mode is GuidanceMode.PROVISIONAL_GATHER:
-            destination = state.sheep_pos[self._order[phase.nu - 1]]
+            destination = pos[order[phase.nu - 1]]
+            if to_target is None:
+                to_target = distances(pos, destination[:, None])
         else:
-            destination = scenario.goal.center
-        return phase, steering_command(state, scenario.dog, self._candidates, destination)
+            destination, to_target = scenario.goal.center, dists[1]
+        return phase, steering_command(state, scenario.dog, self._candidates, destination, to_dog, to_target)
 
 
 # Overflow warnings are silenced once per episode, not per kernel call. A
@@ -132,26 +146,39 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, record
     if state.n != scenario.n_sheep:
         raise ValueError(f"state has {state.n} sheep, scenario expects {scenario.n_sheep}")
 
+    goal = scenario.goal
+    # Each state's sheep are measured against the dog and the goal centre
+    # in one pass; row 0 of points is rewritten as the dog moves.
+    points = np.empty((2, 2, 1))
+    points[:, :, 0] = state.dog_pos, goal.center
+    dists = distances(state.sheep_pos, points)
+
     first_step = state.step
     dog_pts = [state.dog_pos]
     sheep_pts = [state.sheep_pos]
     phases: list[tuple[int, GuidancePhase]] = []
     total = 0.0
-    success = goal_reached(state, scenario.goal)
+    success = goal_reached(dists[1], goal)
 
     if not success:
+        dog_x, dog_y = state.dog_pos.tolist()
         for k in range(scenario.horizon):
-            phase, v_dog = controller(state)
+            phase, v_dog = controller(state, dists)
             # The controller hands out a new phase object only when the phase changes.
             if not phases or phase is not phases[-1][1]:
                 phases.append((k, phase))
             v_sheep = flock_velocities(state, scenario.sheep)
-            state = _snapshot(state.step + 1, state.sheep_pos + v_sheep, v_sheep, state.dog_pos + v_dog)
-            total += float(np.hypot(v_dog[0], v_dog[1]))
+            vx, vy = v_dog.tolist()
+            dog_x += vx
+            dog_y += vy
+            state = _snapshot(state.step + 1, state.sheep_pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
+            total += _length(vx, vy)
             if record:
                 dog_pts.append(state.dog_pos)
                 sheep_pts.append(state.sheep_pos)
-            if goal_reached(state, scenario.goal):
+            points[0, :, 0] = dog_x, dog_y
+            dists = distances(state.sheep_pos, points)
+            if goal_reached(dists[1], goal):
                 success = True
                 break
         # The end state takes the checks that the steps skipped.

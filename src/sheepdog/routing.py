@@ -5,13 +5,17 @@ at the dog, passes every sheep in order, and ends at the goal. Orders
 are improved by randomized local search: propose one mutation per
 iteration and keep it whenever it is not worse. Each mutation changes at
 most four edges, so a candidate whose O(1) change in cost is clearly
-positive is rejected without being built; any candidate near acceptance
-is built and its full path re-summed, so results are bit-identical to
-re-summing every candidate.
+positive is rejected without being built. Any candidate near acceptance
+is built and its path re-summed from its first changed edge on, starting
+from the current path's running total there: the edges before it are the
+same floats added in the same order, so results are bit-identical to
+re-summing every candidate's full path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import getitem
 
 import numpy as np
 
@@ -93,14 +97,15 @@ def _distance_table(instance: TourInstance) -> list[list[float]]:
     return np.hypot(diff[..., 0], diff[..., 1]).tolist()
 
 
-def _path_cost(table: list[list[float]], order: tuple[int, ...]) -> float:
-    goal_node = len(table) - 1
-    prev = order[0]
-    total = table[0][prev + 1]
-    for nxt in order[1:]:
-        total += table[prev + 1][nxt + 1]
-        prev = nxt
-    return total + table[prev + 1][goal_node]
+def _running_costs(table: list[list[float]], path: tuple[int, ...], start: int, total: float) -> list[float]:
+    """Running totals of the path's edge lengths from node path[start] on.
+
+    Entry m is total plus the edges up to node path[start + m], added one
+    at a time in path order, so a list begun at the dog with total 0.0
+    holds the cost of every prefix and ends with the full path cost.
+    """
+    edges = map(getitem, map(table.__getitem__, path[start:-1]), path[start + 1 :])
+    return list(accumulate(edges, initial=total))
 
 
 def reverse_segment(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
@@ -191,26 +196,29 @@ def rls_optimize(
 
     table = _distance_table(instance)
     move, delta = _KERNELS[config.strategy]
-    order = initial.order
-    cost = _path_cost(table, order)
-    initial_cost = cost
-
     n = instance.n
+    # Table nodes: the dog, the sheep in visiting order, the goal; so order
+    # position i is path[i + 1], and the moves apply to path at i + 1.
+    path = (0, *(i + 1 for i in initial.order), n + 1)
+    totals = _running_costs(table, path, 0, 0.0)
+    cost = initial_cost = totals[-1]
+
     # The trace is piecewise constant: it changes only where a candidate
     # is accepted, and accepted_at[i] is where costs[i] begins.
     accepted_at = [0]
     costs = [cost]
     if n >= 2:
-        path = [0, *(i + 1 for i in order), n + 1]
         margin = _REJECT_MARGIN * cost
         for it, (a, b) in enumerate(_drawn_positions(rng, n, config.iterations)):
             if delta(table, path, a, b) <= margin:
-                candidate = move(order, a, b)
-                candidate_cost = _path_cost(table, candidate)
-                if candidate_cost <= cost:
-                    order = candidate
-                    cost = candidate_cost
-                    path = [0, *(i + 1 for i in order), n + 1]
+                # A move first changes the edge into order position a, so
+                # the candidate's sum goes on from the current total at path[a].
+                candidate = move(path, a + 1, b + 1)
+                tail = _running_costs(table, candidate, a, totals[a])
+                if tail[-1] <= cost:
+                    path = candidate
+                    totals[a:] = tail
+                    cost = tail[-1]
                     margin = _REJECT_MARGIN * cost
                     accepted_at.append(it)
                     costs.append(cost)
@@ -218,7 +226,7 @@ def rls_optimize(
     trace = np.repeat(costs, np.diff([*accepted_at, config.iterations]))
     trace.setflags(write=False)
     return RlsResult(
-        best_tour=Tour(order),
+        best_tour=Tour(tuple(node - 1 for node in path[1:-1])),
         best_cost=cost,
         cost_trace=trace,
         initial_tour=initial,

@@ -17,3 +17,14 @@ def as_point(value) -> np.ndarray:
     if not np.all(np.isfinite(pt)):
         raise ValueError("vector components must be finite")
     return pt
+
+
+def distances(pos: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance of every row of pos, shape (N, 2), to each point of points,
+    shape (..., 2, 1): shape (..., N).
+
+    The differences come out in one C-ordered array, so np.hypot reads a
+    contiguous row per axis and point.
+    """
+    diff = np.subtract(pos.T, points, order="C")
+    return np.hypot(diff[..., 0, :], diff[..., 1, :])

@@ -3,9 +3,10 @@
 These are the drive and approach laws written on numpy 2-vectors with
 `safe_unit` and `clamped_norm`; `dog.steering_command`,
 `dog.dog_velocity` and `dog.approach_velocity` must reproduce them bit
-for bit. `farthest_from` and `nearest_to_dog` are not references: they
-call the package's own candidate check and selection, so tests can pick
-the sheep that `steering_command` steers by.
+for bit. `distances_to`, `select`, `farthest_from` and `nearest_to_dog`
+are not references: they call the package's own candidate check,
+distances and selection, so tests can pick the sheep that
+`steering_command` steers by and hand the laws their distance rows.
 """
 from __future__ import annotations
 
@@ -13,21 +14,29 @@ from typing import Iterable
 
 import numpy as np
 
-from sheepdog.dog import DogParams, _check_candidates, _select
+from sheepdog.dog import DogParams, _check_candidates, _pick
 from sheepdog.flock import FlockState
-from sheepdog.vec import EPS, UNIT_X
+from sheepdog.vec import EPS, UNIT_X, distances
+
+
+def distances_to(state: FlockState, point) -> np.ndarray:
+    """Every sheep's distance to point, as the episode loop hands it to the dog's laws."""
+    return distances(state.sheep_pos, np.reshape(np.asarray(point, dtype=float), (2, 1)))
+
+
+def select(state: FlockState, idx: np.ndarray | None, point, farthest: bool) -> int:
+    """Candidate farthest from (or nearest to) point; ties go to the smallest index."""
+    return _pick(distances_to(state, point), idx, farthest)
 
 
 def farthest_from(point: np.ndarray, candidates: Iterable[int], state: FlockState) -> int:
     """Candidate sheep farthest from point; ties go to the smallest index."""
-    idx = _check_candidates(candidates, state.n).idx
-    return _select(state, idx, np.asarray(point, dtype=float).tolist(), True)
+    return select(state, _check_candidates(candidates, state.n).idx, point, True)
 
 
 def nearest_to_dog(candidates: Iterable[int], state: FlockState) -> int:
     """Candidate sheep nearest the dog; ties go to the smallest index."""
-    idx = _check_candidates(candidates, state.n).idx
-    return _select(state, idx, state.dog_pos.tolist(), False)
+    return select(state, _check_candidates(candidates, state.n).idx, state.dog_pos, False)
 
 
 def safe_unit(v: np.ndarray) -> np.ndarray:

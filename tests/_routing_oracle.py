@@ -2,8 +2,9 @@
 
 `mutate` draws one position pair at a time with two scalar draws, so
 `_reference_rls` in `test_routing.py` checks the package's chunked draws
-against an independent stream. `brute_force_tour` is the exact optimum
-that the search must never beat.
+against an independent stream, and `_path_cost` re-sums a full path
+from the dog, apart from the package's running totals.
+`brute_force_tour` is the exact optimum that the search must never beat.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from sheepdog.routing import (
     Tour,
     TourInstance,
     _distance_table,
-    _path_cost,
     exchange_positions,
     jump_insert,
     reverse_segment,
@@ -26,6 +26,18 @@ from sheepdog.routing import (
 BRUTE_FORCE_LIMIT = 10
 
 _MOVES = {"reverse": reverse_segment, "exchange": exchange_positions, "jump": jump_insert}
+
+
+def _path_cost(table: list[list[float]], order: tuple[int, ...]) -> float:
+    """Full path sum, one edge at a time from the dog: the plain cost that
+    the package's running totals must reproduce."""
+    goal_node = len(table) - 1
+    prev = order[0]
+    total = table[0][prev + 1]
+    for nxt in order[1:]:
+        total += table[prev + 1][nxt + 1]
+        prev = nxt
+    return total + table[prev + 1][goal_node]
 
 
 def tour_cost(tour: Tour, instance: TourInstance) -> float:

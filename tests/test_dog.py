@@ -12,6 +12,10 @@ from sheepdog.flock import FlockState
 DEFAULTS = DogParams()
 
 
+def to_dog(state):
+    return oracle.distances_to(state, state.dog_pos)
+
+
 def make_state(sheep_pos, dog_pos):
     sheep_pos = np.asarray(sheep_pos, dtype=float)
     return FlockState(
@@ -123,20 +127,20 @@ def test_approach_velocity_hand_value():
     # Unit attraction to the target plus inverse-cube repulsion from the
     # nearest sheep: 10*(1,0) + 1000*(0,100)/100^3 = (10, 0.1).
     state = make_state([[0.0, -100.0]], [0.0, 0.0])
-    v = approach_velocity(state, DEFAULTS, np.array([10.0, 0.0]))
+    v = approach_velocity(state, DEFAULTS, np.array([10.0, 0.0]), to_dog(state))
     assert np.allclose(v, [10.0, 0.1], atol=1e-12)
 
 
 def test_approach_velocity_pure_attraction_when_repulsion_off():
     state = make_state([[500.0, 500.0]], [0.0, 0.0])
     params = DogParams(k_repulsion=0.0)
-    v = approach_velocity(state, params, np.array([0.0, 5.0]))
+    v = approach_velocity(state, params, np.array([0.0, 5.0]), to_dog(state))
     assert np.allclose(v, [0.0, params.k_attraction], atol=1e-12)
 
 
 def test_approach_velocity_at_target_uses_fallback_direction():
     state = make_state([[1000.0, 0.0]], [4.0, 4.0])
-    v = approach_velocity(state, DEFAULTS, np.array([4.0, 4.0]))
+    v = approach_velocity(state, DEFAULTS, np.array([4.0, 4.0]), to_dog(state))
     assert np.all(np.isfinite(v))
 
 
@@ -144,21 +148,22 @@ def test_steering_command_composes_selection_and_velocity():
     rng = np.random.default_rng(29)
     state = make_state(rng.uniform(-80, 80, (6, 2)), rng.uniform(-80, 80, 2))
     goal = np.zeros(2)
-    v = steering_command(state, DEFAULTS, set(range(6)), goal)
+    rows = to_dog(state), oracle.distances_to(state, goal)
+    v = steering_command(state, DEFAULTS, set(range(6)), goal, *rows)
     tracked = farthest_from(goal, set(range(6)), state)
     nearest = nearest_to_dog(set(range(6)), state)
     # The set of all sheep skips the indexing; an explicit index array
     # must select the same two sheep.
     idx = np.arange(6)
-    assert dog._select(state, idx, goal.tolist(), True) == tracked
-    assert dog._select(state, idx, state.dog_pos.tolist(), False) == nearest
+    assert oracle.select(state, idx, goal.tolist(), True) == tracked
+    assert oracle.select(state, idx, state.dog_pos.tolist(), False) == nearest
     expected = dog_velocity(state, DEFAULTS, tracked, nearest, goal)
     assert v.tobytes() == expected.tobytes()
     # Index arrays, sorted or not, select the same sheep as the set.
     for cand in (np.arange(6), np.array([5, 3, 3, 0, 1, 2, 4])):
-        assert steering_command(state, DEFAULTS, cand, goal).tobytes() == v.tobytes()
+        assert steering_command(state, DEFAULTS, cand, goal, *rows).tobytes() == v.tobytes()
     with pytest.raises(IndexError):
-        steering_command(state, DEFAULTS, np.arange(7), goal)
+        steering_command(state, DEFAULTS, np.arange(7), goal, *rows)
 
 
 # ------------------------------------------------- float laws = vector oracle
@@ -195,15 +200,16 @@ def test_steering_laws_are_bitwise_the_vector_oracle(case):
     idx = np.array(sorted(set(candidates)))
     v_ref, tracked_ref, nearest_ref = oracle.steering(state, params, idx, destination)
     checked = dog._check_candidates(candidates, state.n).idx
-    assert dog._select(state, checked, destination.tolist(), True) == tracked_ref
-    assert dog._select(state, checked, state.dog_pos.tolist(), False) == nearest_ref
-    assert steering_command(state, params, candidates, destination).tobytes() == v_ref.tobytes()
+    assert oracle.select(state, checked, destination.tolist(), True) == tracked_ref
+    assert oracle.select(state, checked, state.dog_pos.tolist(), False) == nearest_ref
+    rows = to_dog(state), oracle.distances_to(state, destination)
+    assert steering_command(state, params, candidates, destination, *rows).tobytes() == v_ref.tobytes()
     assert (
         dog_velocity(state, params, tracked, nearest, destination).tobytes()
         == oracle.dog_velocity(state, params, tracked, nearest, destination).tobytes()
     )
     assert (
-        approach_velocity(state, params, destination).tobytes()
+        approach_velocity(state, params, destination, rows[0]).tobytes()
         == oracle.approach_velocity(state, params, destination).tobytes()
     )
 
@@ -214,7 +220,7 @@ def test_huge_distances_overflow_like_the_vector_oracle():
     for sheep, dog in (([[0.0, 0.0]], [1e200, 0.0]), ([[-1.5e308, 0.0]], [0.0, 1.5e308])):
         state = make_state(sheep, dog)
         with np.errstate(over="ignore", invalid="ignore"):
-            approach = approach_velocity(state, DEFAULTS, np.zeros(2))
+            approach = approach_velocity(state, DEFAULTS, np.zeros(2), to_dog(state))
             approach_ref = oracle.approach_velocity(state, DEFAULTS, np.zeros(2))
             drive = dog_velocity(state, DEFAULTS, 0, 0, np.zeros(2))
             drive_ref = oracle.dog_velocity(state, DEFAULTS, 0, 0, np.zeros(2))

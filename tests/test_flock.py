@@ -1,4 +1,6 @@
 """Sheep dynamics: neighbor sets, the four velocity terms, and step invariants."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +166,22 @@ def test_flock_velocities_are_bitwise_the_dense_oracle(flock_and_params):
                 assert velocities.tobytes() == dense_flock_velocities(layout, params).tobytes()
 
 
+def test_kernel_constants_stay_with_their_params_and_flock_size():
+    # The gain column is built per SheepParams and the pair tables per
+    # flock size; alternating both must never carry one call's into the next.
+    rng = np.random.default_rng(61)
+    params = (DEFAULTS, replace(DEFAULTS, r_s=25.0, k_separation=40.0, k_alignment=3.0, k_cohesion=0.25))
+    # Two sizes of the dense search, then one of the box search.
+    states = tuple(random_state(rng, n=n, spread=spread) for n, spread in ((9, 25.0), (14, 30.0), (40, 45.0)))
+    for _ in range(3):
+        for p in params:
+            for state in states:
+                assert flock_velocities(state, p).tobytes() == dense_flock_velocities(state, p).tobytes()
+    # The column is no field: equality, hashing and repr see the gains alone.
+    assert hash(SheepParams()) == hash(DEFAULTS) and SheepParams() == DEFAULTS
+    assert "_gains" not in repr(DEFAULTS)
+
+
 def test_both_pair_searches_skip_non_finite_pairs(monkeypatch):
     # Sheep 0 and 1 are the only finite pair within r_s; every other pair
     # has an inf or nan difference.
@@ -173,7 +191,7 @@ def test_both_pair_searches_skip_non_finite_pairs(monkeypatch):
     for box_min_n in BOTH_PAIR_SEARCHES:
         monkeypatch.setattr(flock, "_BOX_MIN_N", box_min_n)
         with np.errstate(invalid="ignore"):
-            pairs = flock._neighbour_pairs(x, y, R_S)
+            pairs = flock._neighbour_pairs(np.array((x, y)), R_S)
         assert pairs[0].tolist() == [1, 7]  # (0, 1) and (1, 0), row-major
         found.append([a.tobytes() for a in pairs])
     assert found[0] == found[1]

@@ -6,7 +6,9 @@ import pytest
 from dataclasses import replace
 from hypothesis import assume, given, settings, strategies as st
 
+import _dog_oracle as dog_oracle
 from _dog_oracle import farthest_from, nearest_to_dog
+from _flock_oracle import dense_flock_velocities
 from sheepdog import flock, guidance
 from sheepdog.dog import dog_velocity
 from sheepdog.flock import FlockState, flock_velocities
@@ -19,6 +21,7 @@ from sheepdog.guidance import (
 from sheepdog.placement import prepare_start_state
 from sheepdog.routing import RlsConfig, Tour, TourInstance, rls_optimize
 from sheepdog.scenario import GoalSpec, ScenarioConfig, stream_seed
+from sheepdog.vec import distances
 
 # Forward order used by the monotonicity invariant.
 MODE_ORDER = (
@@ -51,9 +54,13 @@ def mode_sequence(record):
 
 def test_goal_reached_trivials():
     goal = GoalSpec(center=np.zeros(2), radius=20.0)
-    assert goal_reached(make_state([[0.0, 0.0], [1.0, 1.0]], [99.0, 99.0]), goal)
-    assert goal_reached(make_state([[20.0, 0.0]], [99.0, 99.0]), goal)
-    assert not goal_reached(make_state([[20.0 + 1e-6, 0.0]], [99.0, 99.0]), goal)
+
+    def reached(sheep_pos):
+        return goal_reached(distances(np.array(sheep_pos), goal.center[:, None]), goal)
+
+    assert reached([[0.0, 0.0], [1.0, 1.0]])
+    assert reached([[20.0, 0.0]])
+    assert not reached([[20.0 + 1e-6, 0.0]])
 
 
 # ------------------------------------------------------------------- edge cases
@@ -326,7 +333,83 @@ def test_fat_trace_matches_manual_stepping():
             dog_pos=state.dog_pos + v_dog,
         )
         expected.append(state.dog_pos)
-    assert np.allclose(rec.dog_trace, np.array(expected), atol=1e-12)
+    assert rec.dog_trace.tobytes() == np.array(expected).tobytes()
+
+
+def _manual_proposed(cfg, order, state):
+    """A proposed episode stepped by hand from the vector dog laws and the
+    dense flock kernel, with its own phase machine; also the steps at which
+    a collection in the gather phase hands the dog its next target."""
+    n = len(order)
+    mode, nu, collected = GuidanceMode.APPROACH_FIRST, 1, ()
+    dog_pts, sheep_pts, phases, retargets = [state.dog_pos], [state.sheep_pos], [], []
+    total = 0.0
+
+    def distances_to(point, idx):
+        diff = state.sheep_pos[list(idx)] - point
+        return np.hypot(diff[:, 0], diff[:, 1])
+
+    def collect(sheep):
+        nonlocal mode, nu, collected
+        collected += (sheep,)
+        nu += 1
+        mode = GuidanceMode.FINAL_DRIVE if len(collected) == n else GuidanceMode.PROVISIONAL_GATHER
+
+    success = distances_to(cfg.goal.center, range(n)).max() <= cfg.goal.radius
+    for k in range(0 if success else cfg.horizon):
+        if mode is GuidanceMode.APPROACH_FIRST:
+            if distances_to(state.dog_pos, [order[0]])[0] <= cfg.dog.r_d:
+                collect(order[0])
+        elif mode is GuidanceMode.PROVISIONAL_GATHER:
+            target = order[nu - 1]
+            if distances_to(state.sheep_pos[target], collected).max() <= cfg.goal.radius:
+                collect(target)
+                if mode is GuidanceMode.PROVISIONAL_GATHER:
+                    retargets.append(k)
+        if not phases or phases[-1][1:] != (mode, nu, collected):
+            phases.append((k, mode, nu, collected))
+
+        if mode is GuidanceMode.APPROACH_FIRST:
+            v_dog = dog_oracle.approach_velocity(state, cfg.dog, state.sheep_pos[order[0]])
+        else:
+            destination = state.sheep_pos[order[nu - 1]] if mode is GuidanceMode.PROVISIONAL_GATHER else cfg.goal.center
+            v_dog, _, _ = dog_oracle.steering(state, cfg.dog, np.array(sorted(collected)), destination)
+        v_sheep = dense_flock_velocities(state, cfg.sheep)
+        state = FlockState(
+            step=state.step + 1,
+            sheep_pos=state.sheep_pos + v_sheep,
+            sheep_vel_prev=v_sheep,
+            dog_pos=state.dog_pos + v_dog,
+        )
+        total += float(np.hypot(v_dog[0], v_dog[1]))
+        dog_pts.append(state.dog_pos)
+        sheep_pts.append(state.sheep_pos)
+        if distances_to(cfg.goal.center, range(n)).max() <= cfg.goal.radius:
+            success = True
+            break
+    return success, total, np.array(dog_pts), np.array(sheep_pts), phases, retargets
+
+
+def test_proposed_trace_matches_manual_stepping():
+    # Through approach, gather and drive to the goal. Six of the gather
+    # steps collect a sheep and steer by the next target in the same step.
+    cfg = ScenarioConfig(n_sheep=8, rho=0.0012, horizon=1500)
+    start = prepare_start_state(cfg, base_seed=2, trial=0)
+    instance = TourInstance(start.dog_pos, start.sheep_pos, cfg.goal.center)
+    tour = rls_optimize(instance, RlsConfig("reverse", 2000, 5)).best_tour
+    rec = run_proposed(cfg, tour, initial_state=start)
+
+    success, total, dog_trace, sheep_traces, phases, retargets = _manual_proposed(cfg, tour.order, start)
+    assert success and len(retargets) == 6
+    assert [mode for _, mode, _, _ in phases] == [
+        GuidanceMode.APPROACH_FIRST, *[GuidanceMode.PROVISIONAL_GATHER] * 7, GuidanceMode.FINAL_DRIVE
+    ]
+    assert (rec.success, rec.k_end) == (success, dog_trace.shape[0] - 1)
+    assert rec.dog_trace.tobytes() == dog_trace.tobytes()
+    assert rec.sheep_traces.tobytes() == sheep_traces.tobytes()
+    assert rec.total_distance == total
+    assert [(k, p.mode, p.nu, p.collected) for k, p in rec.phases[:-1]] == phases
+    assert (rec.phases[-1][0], rec.phases[-1][1].mode) == (rec.k_end, GuidanceMode.DONE)
 
 
 def test_fat_run_mirrors_with_the_initial_condition():

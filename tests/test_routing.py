@@ -2,11 +2,10 @@
 import numpy as np
 import pytest
 
-from _routing_oracle import BRUTE_FORCE_LIMIT, brute_force_tour, mutate, tour_cost
+from _routing_oracle import BRUTE_FORCE_LIMIT, _path_cost, brute_force_tour, mutate, tour_cost
 from sheepdog.routing import (
     _KERNELS,
     _distance_table,
-    _path_cost,
     STRATEGIES,
     RlsConfig,
     Tour,

@@ -6,13 +6,14 @@ back and a unit term pushes it away from the destination, so the dog
 ends up herding from the far side. The approach law is the same chase
 without the destination term, used to reach the first sheep of a tour.
 Both take every sheep's distance to the dog, and the drive its distance
-to the destination, as rows the episode loop computes once per state.
+to the destination, as rows the episode loop computes once per state;
+the drive's candidates come as an index array checked once per phase.
 
-The laws work on Python floats, which costs far less per step than
-numpy 2-vectors and gives the same bits: a length is abs(complex(x, y)),
-which is the C library's hypot that np.hypot also calls (math.hypot
-rounds differently), and the stand-off square is float ** 2, the C
-library's pow that numpy's scalar power also calls.
+The laws compute on Python floats and return two of them, which costs
+far less per step than numpy 2-vectors and gives the same bits: a
+length is abs(complex(x, y)), the C library's hypot that np.hypot also
+calls (math.hypot rounds differently), and the stand-off square is
+float ** 2, the C library's pow that numpy's scalar power also calls.
 """
 from __future__ import annotations
 
@@ -43,28 +44,16 @@ class DogParams:
                 raise ValueError(f"{name} must be non-negative and finite")
 
 
-@dataclass(frozen=True, eq=False)
-class _Candidates:
-    """Sorted distinct candidate indices checked against the flock size.
-
-    idx is None when every sheep is a candidate, so selection skips the
-    indexing.
-    """
-
-    idx: np.ndarray | None
-
-
-def _check_candidates(candidates: Iterable[int], n: int) -> _Candidates:
-    """Candidates as a checked set; the guidance controller builds one per phase."""
-    if isinstance(candidates, _Candidates):
-        return candidates
+def _check_candidates(candidates: Iterable[int], n: int) -> np.ndarray | None:
+    """Sorted distinct candidate indices checked against the flock size n,
+    or None when every sheep is a candidate, so selection skips the indexing."""
     # Python's sorted keeps numpy's sort code, about 0.4 MB of resident pages, unloaded.
     idx = np.asarray(sorted(set(int(c) for c in candidates)), dtype=int)
     if idx.size == 0:
         raise ValueError("candidate set must not be empty")
     if idx[0] < 0 or idx[-1] >= n:
         raise IndexError(f"candidate index out of range for flock of {n}")
-    return _Candidates(None if idx.size == n else idx)
+    return None if idx.size == n else idx
 
 
 def _pick(dist: np.ndarray, idx: np.ndarray | None, farthest: bool) -> int:
@@ -109,47 +98,48 @@ def dog_velocity(
     tracked: int,
     nearest: int,
     repel_point: np.ndarray,
-) -> np.ndarray:
+) -> tuple[float, float]:
     """Drive velocity: chase tracked, stand off nearest, keep clear of repel_point."""
     dog = state.dog_pos.tolist()
     tx, ty = state.sheep_pos[tracked].tolist()
-    px, py = np.asarray(repel_point, dtype=float).tolist()
+    px, py = repel_point.tolist()
     ax, ay, _ = _unit(tx - dog[0], ty - dog[1])
     rx, ry = _stand_off(params, dog, state.sheep_pos[nearest].tolist())
     gx, gy, _ = _unit(dog[0] - px, dog[1] - py)
     ka, kg = params.k_attraction, params.k_goal_repulsion
-    return np.array((ka * ax + rx + kg * gx, ka * ay + ry + kg * gy))
+    return ka * ax + rx + kg * gx, ka * ay + ry + kg * gy
 
 
-def approach_velocity(state: FlockState, params: DogParams, target: np.ndarray, to_dog: np.ndarray) -> np.ndarray:
+def approach_velocity(
+    state: FlockState, params: DogParams, target: np.ndarray, to_dog: np.ndarray
+) -> tuple[float, float]:
     """Approach velocity toward target with the stand-off term over all sheep.
 
     to_dog holds every sheep's distance to the dog in this state.
     """
     dog = state.dog_pos.tolist()
-    tx, ty = np.asarray(target, dtype=float).tolist()
+    tx, ty = target.tolist()
     ax, ay, _ = _unit(tx - dog[0], ty - dog[1])
     nearest = int(to_dog.argmin())
     rx, ry = _stand_off(params, dog, state.sheep_pos[nearest].tolist())
     ka = params.k_attraction
-    return np.array((ka * ax + rx, ka * ay + ry))
+    return ka * ax + rx, ka * ay + ry
 
 
 def steering_command(
     state: FlockState,
     params: DogParams,
-    candidates: Iterable[int],
+    idx: np.ndarray | None,
     destination: np.ndarray,
     to_dog: np.ndarray,
     to_destination: np.ndarray,
-) -> np.ndarray:
+) -> tuple[float, float]:
     """Drive velocity: track the candidate farthest from destination, stand off the one nearest the dog.
 
-    With all sheep as candidates and the goal as destination this is the
+    With idx None (every sheep) and the goal as destination this is the
     classic farthest-agent-tracking drive. to_dog and to_destination hold
     every sheep's distance to the dog and to destination in this state.
     """
-    idx = _check_candidates(candidates, state.n).idx
     tracked = _pick(to_destination, idx, True)
     nearest = _pick(to_dog, idx, False)
     return dog_velocity(state, params, tracked, nearest, destination)

@@ -64,7 +64,6 @@ class BatchSummary:
     success_rate: float
     mean_distance_successes: float
     mean_distance_all: float
-    distance_samples: tuple[float, ...]
 
 
 def run_trial(
@@ -150,7 +149,6 @@ def summarize(records: list[TrialRecord]) -> list[BatchSummary]:
         groups.setdefault((rec.n, rec.rho, rec.method), []).append(rec)
     summaries = []
     for (n, rho, method), recs in groups.items():
-        distances = tuple(r.total_distance for r in recs)
         wins = [r.total_distance for r in recs if r.success]
         summaries.append(
             BatchSummary(
@@ -161,8 +159,7 @@ def summarize(records: list[TrialRecord]) -> list[BatchSummary]:
                 successes=len(wins),
                 success_rate=len(wins) / len(recs),
                 mean_distance_successes=sum(wins) / len(wins) if wins else float("nan"),
-                mean_distance_all=sum(distances) / len(distances),
-                distance_samples=distances,
+                mean_distance_all=sum(r.total_distance for r in recs) / len(recs),
             )
         )
     return summaries

@@ -19,7 +19,8 @@ every sheep's distance to both. The goal check reads the goal row; the
 controller's contact test, its choice of the sheep to track and to
 stand off, and the drive's farthest sheep read the two rows. A gather
 target's distances are taken once per step, and again only when a
-collection moves the target within that step. The kernel, the dog laws
+collection moves the target within that step. The drive's candidates
+are checked once per phase. The kernel, the dog laws (two floats out)
 and the goal check are called through this module's names, where a
 tracer can wrap them.
 """
@@ -96,7 +97,7 @@ class _TourController:
     def _enter(self, phase: GuidancePhase) -> None:
         # The collected sheep, checked once per phase, are the drive's candidates.
         self.phase = phase
-        self._candidates = _check_candidates(phase.collected, len(self._order)) if phase.collected else None
+        self._idx = _check_candidates(phase.collected, len(self._order)) if phase.collected else None
 
     def _collect(self, collected: tuple[int, ...]) -> None:
         mode = (
@@ -106,7 +107,7 @@ class _TourController:
         )
         self._enter(GuidancePhase(mode, self.phase.nu + 1, collected))
 
-    def __call__(self, state: FlockState, dists: np.ndarray) -> tuple[GuidancePhase, np.ndarray]:
+    def __call__(self, state: FlockState, dists: np.ndarray) -> tuple[GuidancePhase, tuple[float, float]]:
         """Phase and dog velocity for state; dists holds every sheep's
         distance to the dog (row 0) and to the goal centre (row 1)."""
         phase = self.phase
@@ -120,7 +121,7 @@ class _TourController:
                 self._collect((order[0],))
         elif phase.mode is GuidanceMode.PROVISIONAL_GATHER:
             to_target = distances(pos, pos[order[phase.nu - 1], :, None])
-            if to_target.take(self._candidates.idx).max() <= scenario.goal.radius:
+            if to_target.take(self._idx).max() <= scenario.goal.radius:
                 self._collect(phase.collected + (order[phase.nu - 1],))
                 to_target = None  # the collection moved the target
 
@@ -133,7 +134,7 @@ class _TourController:
                 to_target = distances(pos, destination[:, None])
         else:
             destination, to_target = scenario.goal.center, dists[1]
-        return phase, steering_command(state, scenario.dog, self._candidates, destination, to_dog, to_target)
+        return phase, steering_command(state, scenario.dog, self._idx, destination, to_dog, to_target)
 
 
 # Overflow warnings are silenced once per episode, not per kernel call. A
@@ -163,12 +164,11 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, record
     if not success:
         dog_x, dog_y = state.dog_pos.tolist()
         for k in range(scenario.horizon):
-            phase, v_dog = controller(state, dists)
+            phase, (vx, vy) = controller(state, dists)
             # The controller hands out a new phase object only when the phase changes.
             if not phases or phase is not phases[-1][1]:
                 phases.append((k, phase))
             v_sheep = flock_velocities(state, scenario.sheep)
-            vx, vy = v_dog.tolist()
             dog_x += vx
             dog_y += vy
             state = _snapshot(state.step + 1, state.sheep_pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))

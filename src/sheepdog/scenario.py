@@ -143,12 +143,12 @@ def apply_assignments(cfg: ScenarioConfig, pairs: list[tuple[str, str]]) -> Scen
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse key=value lines; blank lines and '#' comments are ignored."""
+    """Parse key=value lines; everything from a '#' on and blank lines are ignored."""
     pairs: list[tuple[str, str]] = []
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")

@@ -31,12 +31,12 @@ def select(state: FlockState, idx: np.ndarray | None, point, farthest: bool) -> 
 
 def farthest_from(point: np.ndarray, candidates: Iterable[int], state: FlockState) -> int:
     """Candidate sheep farthest from point; ties go to the smallest index."""
-    return select(state, _check_candidates(candidates, state.n).idx, point, True)
+    return select(state, _check_candidates(candidates, state.n), point, True)
 
 
 def nearest_to_dog(candidates: Iterable[int], state: FlockState) -> int:
     """Candidate sheep nearest the dog; ties go to the smallest index."""
-    return select(state, _check_candidates(candidates, state.n).idx, state.dog_pos, False)
+    return select(state, _check_candidates(candidates, state.n), state.dog_pos, False)
 
 
 def safe_unit(v: np.ndarray) -> np.ndarray:

@@ -104,7 +104,7 @@ def test_dog_velocity_mirror_equivariance():
     repel = np.array([2.0, -5.0])
     v = dog_velocity(state, DEFAULTS, 0, 1, repel)
     v_m = dog_velocity(mirrored, DEFAULTS, 0, 1, repel * [-1.0, 1.0])
-    assert np.allclose(v_m, v * [-1.0, 1.0], atol=1e-12)
+    assert np.allclose(v_m, np.array(v) * [-1.0, 1.0], atol=1e-12)
 
 
 def test_dog_velocity_rigid_motion_equivariance():
@@ -149,7 +149,7 @@ def test_steering_command_composes_selection_and_velocity():
     state = make_state(rng.uniform(-80, 80, (6, 2)), rng.uniform(-80, 80, 2))
     goal = np.zeros(2)
     rows = to_dog(state), oracle.distances_to(state, goal)
-    v = steering_command(state, DEFAULTS, set(range(6)), goal, *rows)
+    v = steering_command(state, DEFAULTS, dog._check_candidates(set(range(6)), 6), goal, *rows)
     tracked = farthest_from(goal, set(range(6)), state)
     nearest = nearest_to_dog(set(range(6)), state)
     # The set of all sheep skips the indexing; an explicit index array
@@ -158,12 +158,13 @@ def test_steering_command_composes_selection_and_velocity():
     assert oracle.select(state, idx, goal.tolist(), True) == tracked
     assert oracle.select(state, idx, state.dog_pos.tolist(), False) == nearest
     expected = dog_velocity(state, DEFAULTS, tracked, nearest, goal)
-    assert v.tobytes() == expected.tobytes()
+    assert np.array(v).tobytes() == np.array(expected).tobytes()
     # Index arrays, sorted or not, select the same sheep as the set.
     for cand in (np.arange(6), np.array([5, 3, 3, 0, 1, 2, 4])):
-        assert steering_command(state, DEFAULTS, cand, goal, *rows).tobytes() == v.tobytes()
+        checked = dog._check_candidates(cand, 6)
+        assert np.array(steering_command(state, DEFAULTS, checked, goal, *rows)).tobytes() == np.array(v).tobytes()
     with pytest.raises(IndexError):
-        steering_command(state, DEFAULTS, np.arange(7), goal, *rows)
+        dog._check_candidates(np.arange(7), 6)
 
 
 # ------------------------------------------------- float laws = vector oracle
@@ -199,17 +200,17 @@ def test_steering_laws_are_bitwise_the_vector_oracle(case):
     state, params, candidates, destination, tracked, nearest = case
     idx = np.array(sorted(set(candidates)))
     v_ref, tracked_ref, nearest_ref = oracle.steering(state, params, idx, destination)
-    checked = dog._check_candidates(candidates, state.n).idx
+    checked = dog._check_candidates(candidates, state.n)
     assert oracle.select(state, checked, destination.tolist(), True) == tracked_ref
     assert oracle.select(state, checked, state.dog_pos.tolist(), False) == nearest_ref
     rows = to_dog(state), oracle.distances_to(state, destination)
-    assert steering_command(state, params, candidates, destination, *rows).tobytes() == v_ref.tobytes()
+    assert np.array(steering_command(state, params, checked, destination, *rows)).tobytes() == v_ref.tobytes()
     assert (
-        dog_velocity(state, params, tracked, nearest, destination).tobytes()
+        np.array(dog_velocity(state, params, tracked, nearest, destination)).tobytes()
         == oracle.dog_velocity(state, params, tracked, nearest, destination).tobytes()
     )
     assert (
-        approach_velocity(state, params, destination, rows[0]).tobytes()
+        np.array(approach_velocity(state, params, destination, rows[0])).tobytes()
         == oracle.approach_velocity(state, params, destination).tobytes()
     )
 
@@ -224,8 +225,8 @@ def test_huge_distances_overflow_like_the_vector_oracle():
             approach_ref = oracle.approach_velocity(state, DEFAULTS, np.zeros(2))
             drive = dog_velocity(state, DEFAULTS, 0, 0, np.zeros(2))
             drive_ref = oracle.dog_velocity(state, DEFAULTS, 0, 0, np.zeros(2))
-        assert approach.tobytes() == approach_ref.tobytes()
-        assert drive.tobytes() == drive_ref.tobytes()
+        assert np.array(approach).tobytes() == approach_ref.tobytes()
+        assert np.array(drive).tobytes() == drive_ref.tobytes()
 
 
 def test_params_validation():

@@ -118,7 +118,6 @@ def test_batch_summaries_match_recomputation(tiny_batch):
         assert s.success_rate == s.successes / s.trials
         assert s.mean_distance_all == pytest.approx(
             sum(r.total_distance for r in recs) / len(recs), rel=1e-12)
-        assert s.distance_samples == tuple(r.total_distance for r in recs)
 
 
 def test_batch_is_bitwise_reproducible(tiny_batch):
@@ -225,7 +224,6 @@ def test_summary_csv_layout(tiny_batch):
 def test_csv_nan_mean_is_spelled_nan():
     summary = BatchSummary(
         n=5, rho=0.001, method="fat", trials=2, successes=0, success_rate=0.0,
-        mean_distance_successes=float("nan"), mean_distance_all=10.0,
-        distance_samples=(10.0, 10.0))
+        mean_distance_successes=float("nan"), mean_distance_all=10.0)
     line = summary_csv([summary]).splitlines()[1]
     assert line.split(",")[5] == "nan"

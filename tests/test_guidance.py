@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 import _dog_oracle as dog_oracle
 from _dog_oracle import farthest_from, nearest_to_dog
 from _flock_oracle import dense_flock_velocities
-from sheepdog import flock, guidance
+from sheepdog import dog, flock, guidance
 from sheepdog.dog import dog_velocity
 from sheepdog.flock import FlockState, flock_velocities
 from sheepdog.guidance import (
@@ -291,6 +291,29 @@ def test_unrecorded_failed_fat_run_keeps_everything_but_the_traces():
     rec = run_fat(cfg, initial_state=start)
     assert not rec.success and rec.k_end == 300
     _assert_same_run_without_traces(run_fat(cfg, initial_state=start, record=False), rec)
+
+
+def test_candidates_are_checked_once_per_phase_not_per_step(small_cell_run, monkeypatch):
+    # The candidate set changes only when a sheep is collected, so it is
+    # checked as each phase begins: once per collection in a tour episode
+    # and once in a whole baseline episode, never on a step.
+    cfg, tour, rec = small_cell_run
+    check, calls = dog._check_candidates, []
+
+    def counted(candidates, n):
+        calls.append(1)
+        return check(candidates, n)
+
+    monkeypatch.setattr(dog, "_check_candidates", counted)
+    monkeypatch.setattr(guidance, "_check_candidates", counted)
+    start = prepare_start_state(cfg, base_seed=0, trial=0)
+    again = run_proposed(cfg, tour, initial_state=start, record=False)
+    assert (again.success, again.k_end, again.total_distance) == (True, rec.k_end, rec.total_distance)
+    assert len(calls) == cfg.n_sheep
+    calls.clear()
+    fat_cfg = ScenarioConfig(n_sheep=20, rho=0.0012, horizon=300)
+    fat = run_fat(fat_cfg, initial_state=prepare_start_state(fat_cfg, base_seed=0, trial=0), record=False)
+    assert fat.k_end == 300 and len(calls) == 1
 
 
 def test_unrecorded_episode_peak_memory_stays_flat():

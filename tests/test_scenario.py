@@ -1,5 +1,6 @@
 """Scenario configuration: defaults, file format round-trip, seed streams."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,10 +125,14 @@ def test_dump_parse_round_trip_over_every_key(values):
 
 
 def test_parse_ignores_comments_and_blank_lines():
-    cfg = parse_config("# a comment\n\nN = 4\nrho = 0.001\n")
+    cfg = parse_config("# a comment\n\nN = 4\nrho = 0.001  # inline, = and all\n")
     assert cfg.n_sheep == 4
     assert cfg.rho == pytest.approx(0.001)
     assert cfg.goal.radius == 20.0  # untouched default
+    # The README's commented defaults block is itself a valid config file.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Defaults, which are also the reference parameter set:")[1].split("```")[1]
+    assert dump_config(parse_config(block)) == dump_config(default_scenario())
 
 
 def test_parse_rejects_unknown_and_duplicate_keys():

@@ -1,4 +1,7 @@
-"""Command line front end: plan a tour, simulate one episode, or run a batch."""
+"""Command line front end: plan a tour, simulate one episode, or run a batch.
+
+A command returns its files as {name: text} in write order; only run_cli makes --out and writes them.
+"""
 from __future__ import annotations
 
 import argparse
@@ -48,12 +51,6 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     return apply_assignments(cfg, overrides)
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _tour_text(order: tuple[int, ...]) -> str:
     # Tour files are 1-based.
     return "".join(f"{i + 1}\n" for i in order)
@@ -64,15 +61,11 @@ def _trace_text(result: RlsResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    cfg = _load_scenario(args)
-    out = _out_dir(args)
+def _cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str]:
     start = prepare_start_state(cfg, base_seed=args.seed)
     instance = TourInstance(start.dog_pos, start.sheep_pos, cfg.goal.center)
     seed = stream_seed(args.seed, cfg.n_sheep, cfg.rho, 0, f"plan:{args.strategy}")
     result = rls_optimize(instance, RlsConfig(args.strategy, args.iterations, seed))
-    (out / "tour.txt").write_text(_tour_text(result.best_tour.order))
-    (out / "cost_trace.csv").write_text(_trace_text(result))
     summary = (
         f"strategy={args.strategy}\n"
         f"iterations={args.iterations}\n"
@@ -81,8 +74,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         f"initial_cost={fmt(result.initial_cost)}\n"
         f"final_cost={fmt(result.best_cost)}\n"
     )
-    (out / "plan_summary.txt").write_text(summary)
-    return 0
+    return {"tour.txt": _tour_text(result.best_tour.order), "cost_trace.csv": _trace_text(result),
+            "plan_summary.txt": summary}
 
 
 def _trajectory_text(record: RunRecord) -> str:
@@ -97,14 +90,9 @@ def _phases_text(record: RunRecord) -> str:
     return "".join(f"{k},{phase.mode.value},{phase.nu}\n" for k, phase in record.phases)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    method_strategy(args.method)  # rejects an unknown method before --out is made
-    cfg = _load_scenario(args)
-    out = _out_dir(args)
+def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str]:
     outcome = run_trial(cfg, [args.method], base_seed=args.seed, trial=0, iterations=args.iterations)[args.method]
     record = outcome.run
-    (out / "trajectory.csv").write_text(_trajectory_text(record))
-    (out / "phases.csv").write_text(_phases_text(record))
     summary = (
         f"method={args.method}\n"
         f"seed={args.seed}\n"
@@ -117,8 +105,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"tour_cost_initial={fmt(outcome.plan.initial_cost)}\n"
             f"tour_cost_final={fmt(outcome.plan.best_cost)}\n"
         )
-    (out / "run_summary.txt").write_text(summary)
-    return 0
+    return {"trajectory.csv": _trajectory_text(record), "phases.csv": _phases_text(record),
+            "run_summary.txt": summary}
 
 
 def _parse_grid(raw: str) -> list[tuple[int, float]]:
@@ -135,13 +123,10 @@ def _parse_grid(raw: str) -> list[tuple[int, float]]:
     return [(n, rho) for n in ns for rho in rhos]
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
-    cfg = _load_scenario(args)
+def _cmd_batch(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str]:
     grid = _parse_grid(args.grid) if args.grid else [(cfg.n_sheep, cfg.rho)]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     strategies = [s for s in map(method_strategy, methods) if s is not None]  # checks every name
-    if not methods:
-        raise ValueError("nothing to run: no methods selected")
     if len(set(methods)) < len(methods):
         raise ValueError(f"bad methods {args.methods!r}: a method is given more than once")
     for n, rho in grid:
@@ -149,7 +134,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             replace(cfg, n_sheep=n, rho=rho)
         except ValueError as exc:
             raise ValueError(f"bad grid cell N={n}, rho={rho}: {exc}") from exc
-    out = _out_dir(args)
     records, summaries = run_batch(
         cfg,
         grid,
@@ -159,9 +143,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         include_fat=METHOD_FAT in methods,
     )
-    (out / "trials.csv").write_text(records_csv(records))
-    (out / "summary.csv").write_text(summary_csv(summaries))
-    return 0
+    return {"trials.csv": records_csv(records), "summary.csv": summary_csv(summaries)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,18 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key")
+        p.add_argument("--iterations", type=int, default=10_000)
 
     plan = sub.add_parser("plan", help="optimize a visiting order for the warmed flock")
     common(plan)
     plan.add_argument("--strategy", choices=STRATEGIES, default="reverse")
-    plan.add_argument("--iterations", type=int, default=10_000)
     plan.set_defaults(func=_cmd_plan)
 
     simulate = sub.add_parser("simulate", help="run one guidance episode")
     common(simulate)
     simulate.add_argument("--method", default=proposed_method("reverse"),
                           help="fat or proposed:<strategy> (default proposed:reverse)")
-    simulate.add_argument("--iterations", type=int, default=10_000)
     simulate.set_defaults(func=_cmd_simulate)
 
     batch = sub.add_parser("batch", help="paired trials over an N x rho grid")
@@ -196,20 +177,25 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--trials", type=int, default=100)
     batch.add_argument("--methods", default=",".join(ALL_METHODS),
                        help="comma-separated methods (default: all)")
-    batch.add_argument("--iterations", type=int, default=10_000)
     batch.set_defaults(func=_cmd_batch)
     return parser
 
 
 def run_cli(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # The one place where a usage or I/O problem becomes an error line and exit 2.
+    # The one place where a usage or I/O problem becomes an error line and exit 2, and the
+    # one place that writes: --out is made only after the command has rendered every file.
     try:
         _check_numbers(args)
-        return args.func(args)
+        files = args.func(args, _load_scenario(args))
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

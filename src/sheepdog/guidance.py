@@ -137,12 +137,14 @@ class _TourController:
         return phase, steering_command(state, scenario.dog, self._idx, destination, to_dog, to_target)
 
 
-# Overflow warnings are silenced once per episode, not per kernel call. A
-# sheep about 1.3e154 or more from the dog overflows the square in the
-# flight term's denominator to inf, and the term is 0, which is its limit.
-# Any other overflow leaves a non-finite state, which the end check rejects
-# ("flock state must be finite").
-@np.errstate(over="ignore")
+# Overflow and invalid-operation warnings are silenced once per episode,
+# not per kernel call. A sheep about 1.3e154 or more from the dog overflows
+# the square in the flight term's denominator to inf, and the term is 0,
+# which is its limit. Any other overflow leaves a non-finite state, which
+# the end check rejects ("flock state must be finite"). Invalid operations
+# (inf - inf, inf / inf) follow once a value is non-finite, and a nan or inf
+# position persists to that check. errstate changes no value, only warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, record: bool) -> RunRecord:
     if state.n != scenario.n_sheep:
         raise ValueError(f"state has {state.n} sheep, scenario expects {scenario.n_sheep}")

@@ -38,7 +38,7 @@ def initial_placement(config: ScenarioConfig, rng: np.random.Generator) -> Flock
     )
 
 
-@np.errstate(over="ignore")  # sound for the reason guidance._run_episode gives
+@np.errstate(over="ignore", invalid="ignore")  # sound for the reasons guidance._run_episode gives
 def warmup(state: FlockState, params, steps: int) -> FlockState:
     """Let the flock settle for steps updates while the dog stands still.
 

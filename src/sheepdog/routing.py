@@ -9,7 +9,9 @@ positive is rejected without being built. Any candidate near acceptance
 is built and its path re-summed from its first changed edge on, starting
 from the current path's running total there: the edges before it are the
 same floats added in the same order, so results are bit-identical to
-re-summing every candidate's full path.
+re-summing every candidate's full path. That holds on every instance the
+search accepts; it rejects two points more than the largest float apart,
+whose O(1) change would be inf - inf.
 """
 from __future__ import annotations
 
@@ -93,8 +95,12 @@ class RlsResult:
 def _distance_table(instance: TourInstance) -> list[list[float]]:
     # Node 0 is the dog start, 1..N the sheep, N+1 the goal.
     pts = np.vstack([instance.dog_start, instance.sheep_start, instance.goal])
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1]).tolist()
+    with np.errstate(over="ignore"):  # finite points can lie more than the largest float apart
+        diff = pts[:, None, :] - pts[None, :, :]
+        table = np.hypot(diff[..., 0], diff[..., 1])
+    if not np.isfinite(table).all():
+        raise ValueError("tour instance distances must be finite")
+    return table.tolist()
 
 
 def _running_costs(table: list[list[float]], path: tuple[int, ...], start: int, total: float) -> list[float]:

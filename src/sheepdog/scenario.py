@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -37,18 +37,14 @@ class ScenarioConfig:
 
     n_sheep: int = 20
     rho: float = 0.0012
-    goal: GoalSpec = None  # type: ignore[assignment]
+    goal: GoalSpec = GoalSpec(center=np.zeros(2), radius=20.0)
     horizon: int = 10_000
-    dog_start: np.ndarray = None  # type: ignore[assignment]
+    dog_start: np.ndarray = field(default_factory=lambda: np.array([-30.0, 50.0]))
     sheep: SheepParams = SheepParams()
     dog: DogParams = DogParams()
     warmup_steps: int = 50
 
     def __post_init__(self) -> None:
-        if self.goal is None:
-            object.__setattr__(self, "goal", GoalSpec(center=np.zeros(2), radius=20.0))
-        if self.dog_start is None:
-            object.__setattr__(self, "dog_start", np.array([-30.0, 50.0]))
         object.__setattr__(self, "dog_start", as_point(self.dog_start))
         self.dog_start.setflags(write=False)
         if self.n_sheep < 1:

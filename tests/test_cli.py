@@ -197,13 +197,16 @@ def test_batch_tables(tmp_path):
         ["batch", "--methods", "fat,fat"],
         ["simulate", "--method", "fat", "--set", "x_g=1e308,0", "--set", "x_d0=-1e308,0", "--set", "T=200"],
         ["batch", "--set", "x_g=1e308,0", "--set", "x_d0=-1e308,0", "--set", "T=200"],
+        # Passes every argument check; the flock turns non-finite during the run.
+        ["simulate", "--method", "fat", "--set", "K_s1=1e308", "--set", "rho=1", "--set", "T=50"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli(argv + ["--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 

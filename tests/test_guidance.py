@@ -117,7 +117,7 @@ def test_non_finite_state_mid_episode_raises(monkeypatch, method):
     for record in (True, False):
         calls.clear()
         # The steps after the blow-up run on inf and nan until the end check.
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flock state must be finite"):
+        with pytest.raises(ValueError, match="flock state must be finite"):
             if method == "fat":
                 run_fat(cfg, initial_state=start, record=record)
             else:

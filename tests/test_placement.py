@@ -144,10 +144,13 @@ def test_warmup_rejects_a_state_that_turned_non_finite(monkeypatch):
     def blows_up_at_step_ten(state, params):
         calls.append(state.step)
         v = kernel(state, params)
-        return np.full_like(v, np.nan) if len(calls) == 10 else v
+        return np.full_like(v, bad) if len(calls) == 10 else v
 
     monkeypatch.setattr(flock, "flock_velocities", blows_up_at_step_ten)
-    # The steps after the blow-up run on nan until the settled state's check.
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flock state must be finite"):
-        warmup(placed, cfg.sheep, 30)
-    assert len(calls) == 30
+    # nan raises no warning on its own; inf leads to inf - inf. The steps
+    # after the blow-up run on nan or inf until the settled state's check.
+    for bad in (np.nan, np.inf):
+        calls.clear()
+        with pytest.raises(ValueError, match="flock state must be finite"):
+            warmup(placed, cfg.sheep, 30)
+        assert len(calls) == 30

@@ -1,6 +1,9 @@
 """Tour costs, the three mutation operators, local search, and the exact oracle."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _routing_oracle import BRUTE_FORCE_LIMIT, _path_cost, brute_force_tour, mutate, tour_cost
 from sheepdog.routing import (
@@ -252,6 +255,34 @@ def test_rls_matches_full_resum_oracle(strategy, n):
         assert_matches_reference(box_instance(rng, n), RlsConfig(strategy, iterations, seed=3))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=n + 2, max_size=n + 2)
+    ),
+    st.floats(1.0, 1e308),
+    st.sampled_from(STRATEGIES),
+    st.integers(1, 200),
+    st.integers(0, 2**32),
+)
+def test_rls_matches_full_resum_oracle_on_generated_instances(lattice, scale, strategy, iterations, seed):
+    # Lattice points tie often. Near the largest float the path sums
+    # overflow to inf, and two points may lie more than it apart.
+    pts = np.array(lattice, dtype=float) * (scale / 2)
+    instance = TourInstance(pts[0], pts[1:-1], pts[-1])
+    config = RlsConfig(strategy, iterations, seed)
+    pairs = itertools.combinations(pts.tolist(), 2)
+    with np.errstate(over="ignore"):
+        far_apart = any(np.isinf(np.hypot(px - qx, py - qy)) for (px, py), (qx, qy) in pairs)
+    if far_apart:
+        with pytest.raises(ValueError, match="tour instance distances must be finite"):
+            rls_optimize(instance, config)
+        return
+    assert_matches_reference(instance, config)
+    trace = rls_optimize(instance, config).cost_trace
+    assert (trace[1:] <= trace[:-1]).all()
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_rls_matches_full_resum_oracle_from_given_tour(strategy):
     rng = np.random.default_rng(71)
@@ -326,3 +357,6 @@ def test_config_validation():
         TourInstance([0.0, np.nan], [[1.0, 0.0]], [0.0, 0.0])
     with pytest.raises(ValueError):
         TourInstance([0.0, 0.0], np.zeros((0, 2)), [0.0, 0.0])
+    # Finite points whose distance overflows to inf.
+    with pytest.raises(ValueError, match="tour instance distances must be finite"):
+        rls_optimize(TourInstance([-1e308, 0.0], [[1e308, 0.0]], [0.0, 0.0]), RlsConfig("reverse", 10, seed=0))

@@ -78,12 +78,29 @@ def _cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str]:
             "plan_summary.txt": summary}
 
 
-def _trajectory_text(record: RunRecord) -> str:
-    row = "%d" + f",{NUMBER}" * (2 + 2 * record.sheep_traces.shape[1]) + "\n"
-    return "".join(
-        row % (k, *dog.tolist(), *sheep.ravel().tolist())
-        for k, (dog, sheep) in enumerate(zip(record.dog_trace, record.sheep_traces))
-    )
+# States per rendered block of trajectory.csv rows; a string per row would fragment the heap.
+TRAJECTORY_BLOCK = 256
+
+
+class _TrajectoryRows:
+    """Episode sink that renders the states it sees as trajectory.csv rows, a block at a time."""
+
+    def __init__(self, n_sheep: int):
+        self._row = "%d" + f",{NUMBER}" * (2 + 2 * n_sheep) + "\n"
+        self._k, self._values, self._blocks = 0, [], []
+
+    def __call__(self, state) -> None:
+        self._values += (self._k, *state.dog_pos.tolist(), *state.sheep_pos.ravel().tolist())
+        self._k += 1
+        if self._k % TRAJECTORY_BLOCK == 0:
+            self._blocks.append(self._row * TRAJECTORY_BLOCK % tuple(self._values))
+            self._values.clear()
+
+    def text(self) -> str:
+        """The whole file, once the episode has ended: the full blocks, then the rows after them."""
+        self._blocks.append(self._row * (self._k % TRAJECTORY_BLOCK) % tuple(self._values))
+        self._values.clear()
+        return "".join(self._blocks)
 
 
 def _phases_text(record: RunRecord) -> str:
@@ -91,7 +108,8 @@ def _phases_text(record: RunRecord) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str]:
-    outcome = run_trial(cfg, [args.method], base_seed=args.seed, trial=0, iterations=args.iterations)[args.method]
+    rows = _TrajectoryRows(cfg.n_sheep)
+    outcome = run_trial(cfg, [args.method], args.seed, trial=0, iterations=args.iterations, sink=rows)[args.method]
     record = outcome.run
     summary = (
         f"method={args.method}\n"
@@ -105,8 +123,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, st
             f"tour_cost_initial={fmt(outcome.plan.initial_cost)}\n"
             f"tour_cost_final={fmt(outcome.plan.best_cost)}\n"
         )
-    return {"trajectory.csv": _trajectory_text(record), "phases.csv": _phases_text(record),
-            "run_summary.txt": summary}
+    return {"trajectory.csv": rows.text(), "phases.csv": _phases_text(record), "run_summary.txt": summary}
 
 
 def _parse_grid(raw: str) -> list[tuple[int, float]]:

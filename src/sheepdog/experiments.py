@@ -73,14 +73,10 @@ def run_trial(
     trial: int,
     iterations: int,
     *,
-    record: bool = True,
+    sink=None,
 ) -> dict[str, MethodOutcome]:
-    """Run every method once from the shared warmed start state.
-
-    record=False runs the episodes without traces. A batch keeps only
-    success, k_end and J, so run_batch does not record: a failed N = 20
-    fat episode would otherwise stack 10,001 snapshots it throws away.
-    """
+    """Run every method once from the shared warmed start state. sink, if given, sees
+    the states of each method's episode in turn; a batch keeps no states and passes none."""
     start = prepare_start_state(config, base_seed=base_seed, trial=trial)
     instance = TourInstance(
         dog_start=start.dog_pos,
@@ -91,11 +87,11 @@ def run_trial(
     for method in methods:
         strategy = method_strategy(method)
         if strategy is None:
-            outcomes[method] = MethodOutcome(method, run_fat(config, initial_state=start, record=record), None)
+            outcomes[method] = MethodOutcome(method, run_fat(config, initial_state=start, sink=sink), None)
         else:
             seed = stream_seed(base_seed, config.n_sheep, config.rho, trial, f"plan:{strategy}")
             plan = rls_optimize(instance, RlsConfig(strategy, iterations, seed))
-            run = run_proposed(config, plan.best_tour, initial_state=start, record=record)
+            run = run_proposed(config, plan.best_tour, initial_state=start, sink=sink)
             outcomes[method] = MethodOutcome(method, run, plan)
     return outcomes
 
@@ -132,7 +128,7 @@ def run_batch(
     for n, rho in grid:
         config = replace(base, n_sheep=n, rho=rho)
         for trial in range(trials):
-            outcomes = run_trial(config, methods, base_seed, trial, iterations, record=False)
+            outcomes = run_trial(config, methods, base_seed, trial, iterations)
             records.extend(_record(config, trial, outcomes[m]) for m in methods)
     return records, summarize(records)
 

@@ -11,7 +11,9 @@ A FlockState is validated at the episode's boundaries only: the start
 state is one, and the end state is rebuilt through the checked
 constructor, which raises if any value turned non-finite on the way (a
 non-finite position or velocity leaves every later position non-finite).
-The steps in between are unchecked snapshots.
+The steps in between are unchecked snapshots, and the episode keeps
+none: given a sink, it calls sink(state) on the start state and after
+every step, so call k sees the state after k steps.
 
 Each state's distances are taken once. One (2, 2, N) difference of the
 sheep against the dog and the goal centre and one ``np.hypot`` give
@@ -58,12 +60,12 @@ class GuidancePhase:
 class RunRecord:
     """Outcome of one episode.
 
-    Recorded, dog_trace holds k_end + 1 rows, shape (k_end + 1, 2), and
-    sheep_traces shape (k_end + 1, N, 2); row k is the state after k
-    steps. Unrecorded, both hold zero rows, shapes (0, 2) and (0, N, 2),
-    and every other field is as recorded. Both are read-only.
+    The states themselves go to the episode's sink, if it has one.
+    dog_trace and sheep_traces are read-only placeholders with zero rows,
+    shapes (0, 2) and (0, N, 2): perfbench's per-episode hook reads their
+    nbytes, and they can go once it no longer does.
     phases holds the change points (k, phase): phase governs the steps
-    out of row k until the next entry. The last entry is the terminal
+    out of state k until the next entry. The last entry is the terminal
     phase, DONE at k_end on success.
     """
 
@@ -145,7 +147,7 @@ class _TourController:
 # (inf - inf, inf / inf) follow once a value is non-finite, and a nan or inf
 # position persists to that check. errstate changes no value, only warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, record: bool) -> RunRecord:
+def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=None) -> RunRecord:
     if state.n != scenario.n_sheep:
         raise ValueError(f"state has {state.n} sheep, scenario expects {scenario.n_sheep}")
 
@@ -157,8 +159,8 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, record
     dists = distances(state.sheep_pos, points)
 
     first_step = state.step
-    dog_pts = [state.dog_pos]
-    sheep_pts = [state.sheep_pos]
+    if sink is not None:
+        sink(state)
     phases: list[tuple[int, GuidancePhase]] = []
     total = 0.0
     success = goal_reached(dists[1], goal)
@@ -175,9 +177,8 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, record
             dog_y += vy
             state = _snapshot(state.step + 1, state.sheep_pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
             total += _length(vx, vy)
-            if record:
-                dog_pts.append(state.dog_pos)
-                sheep_pts.append(state.sheep_pos)
+            if sink is not None:
+                sink(state)
             points[0, :, 0] = dog_x, dog_y
             dists = distances(state.sheep_pos, points)
             if goal_reached(dists[1], goal):
@@ -191,34 +192,23 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, record
     if not phases or terminal is not phases[-1][1]:
         phases.append((k_end, terminal))
 
-    if record:
-        dog_trace, sheep_traces = np.array(dog_pts), np.array(sheep_pts)
-    else:
-        dog_trace, sheep_traces = np.empty((0, 2)), np.empty((0, state.n, 2))
+    dog_trace, sheep_traces = np.empty((0, 2)), np.empty((0, state.n, 2))
     dog_trace.setflags(write=False)
     sheep_traces.setflags(write=False)
-    return RunRecord(
-        success=success,
-        k_end=k_end,
-        total_distance=total,
-        dog_trace=dog_trace,
-        sheep_traces=sheep_traces,
-        phases=tuple(phases),
-    )
+    return RunRecord(success=success, k_end=k_end, total_distance=total, dog_trace=dog_trace,
+                     sheep_traces=sheep_traces, phases=tuple(phases))
 
 
-def run_fat(scenario: ScenarioConfig, initial_state: FlockState, *, record: bool = True) -> RunRecord:
-    """Drive-only baseline episode; no tour is needed. record=False keeps no traces."""
+def run_fat(scenario: ScenarioConfig, initial_state: FlockState, *, sink=None) -> RunRecord:
+    """Drive-only baseline episode; no tour is needed."""
     every = tuple(range(scenario.n_sheep))
     controller = _TourController(scenario, every, GuidancePhase(GuidanceMode.FINAL_DRIVE, 1, every))
-    return _run_episode(scenario, controller, initial_state, record)
+    return _run_episode(scenario, controller, initial_state, sink)
 
 
-def run_proposed(
-    scenario: ScenarioConfig, tour: Tour, initial_state: FlockState, *, record: bool = True
-) -> RunRecord:
-    """Tour-guided episode: approach, gather, final drive. record=False keeps no traces."""
+def run_proposed(scenario: ScenarioConfig, tour: Tour, initial_state: FlockState, *, sink=None) -> RunRecord:
+    """Tour-guided episode: approach, gather, final drive."""
     if tour.n != scenario.n_sheep:
         raise ValueError(f"tour over {tour.n} sheep does not match scenario of {scenario.n_sheep}")
     controller = _TourController(scenario, tour.order, GuidancePhase(GuidanceMode.APPROACH_FIRST, 1, ()))
-    return _run_episode(scenario, controller, initial_state, record)
+    return _run_episode(scenario, controller, initial_state, sink)

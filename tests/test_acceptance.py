@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from _dog_oracle import farthest_from, nearest_to_dog
+from _recorder import run_recorded
 from _routing_oracle import brute_force_tour, mutate
 from sheepdog.cli import run_cli
 from sheepdog.dog import DogParams, dog_velocity
@@ -302,12 +303,13 @@ def test_criterion7_isometries_commute_with_the_dynamics():
 
 def test_criterion7_total_distance_matches_the_dog_trace():
     config = ScenarioConfig(n_sheep=5, rho=0.01, horizon=5000)
-    outcomes = run_trial(config, ["fat", "proposed:reverse"],
-                         base_seed=0, trial=3, iterations=200)
-    for outcome in outcomes.values():
-        record = outcome.run
+    for method in ("fat", "proposed:reverse"):
+        # Seeds are per (cell, trial, stream), so one method per trial runs what a paired trial runs.
+        outcomes, rows = run_recorded(run_trial, config, [method], base_seed=0, trial=3, iterations=200)
+        record = outcomes[method].run
         assert record.success
-        steps = np.diff(record.dog_trace, axis=0)
+        assert len(rows) == record.k_end + 1
+        steps = np.diff(rows.dog_trace, axis=0)
         recomputed = float(np.hypot(steps[:, 0], steps[:, 1]).sum())
         assert record.total_distance == pytest.approx(recomputed, rel=1e-9)
 

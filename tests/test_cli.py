@@ -1,14 +1,19 @@
 """End-to-end checks of the command line front end."""
 import subprocess
 import sys
+import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheepdog.cli import _trajectory_text, run_cli
-from sheepdog.guidance import RunRecord
-from sheepdog.scenario import default_scenario, dump_config, fmt
+from _recorder import run_recorded, trajectory_text
+from sheepdog import cli
+from sheepdog.cli import TRAJECTORY_BLOCK, _TrajectoryRows, run_cli
+from sheepdog.experiments import ALL_METHODS, run_trial
+from sheepdog.scenario import apply_assignments, default_scenario, dump_config, fmt
 
 TINY = ["--set", "N=3", "--set", "rho=0.01", "--set", "T=5000"]
 
@@ -113,17 +118,76 @@ ANY_FLOAT = st.floats(width=64) | st.sampled_from(
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 4), rows=st.integers(1, 3), data=st.data())
-def test_trajectory_row_is_fmt_of_each_value(n, rows, data):
+@given(n=st.integers(1, 4), rows=st.integers(1, 5), block_size=st.integers(1, 4), data=st.data())
+def test_trajectory_row_is_fmt_of_each_value(n, rows, block_size, data):
     values = np.array(data.draw(st.lists(ANY_FLOAT, min_size=rows * (2 + 2 * n), max_size=rows * (2 + 2 * n))))
     block = values.reshape(rows, 2 + 2 * n)
-    record = RunRecord(success=False, k_end=rows - 1, total_distance=0.0, dog_trace=block[:, :2],
-                       sheep_traces=block[:, 2:].reshape(rows, n, 2), phases=())
-    lines = _trajectory_text(record).split("\n")
+    # Blocks of one to four rows: whole blocks, a partial last block, or both.
+    with mock.patch.object(cli, "TRAJECTORY_BLOCK", block_size):
+        sink = _TrajectoryRows(n)
+        for row in block:
+            sink(SimpleNamespace(dog_pos=row[:2], sheep_pos=row[2:].reshape(n, 2)))
+        lines = sink.text().split("\n")
     assert lines[-1] == ""
     assert lines[:-1] == [",".join([str(k)] + [fmt(v) for v in row.tolist()]) for k, row in enumerate(block)]
     # fmt's %-formatting agrees with the format-spec spelling on every class.
     assert [fmt(v) for v in values.tolist()] == [format(v, ".9g") for v in values.tolist()]
+
+
+def _simulate_files(method, seed, n, horizon, rho="0.0012"):
+    """_cmd_simulate's files for one run, as run_cli would write them."""
+    argv = ["simulate", "--out", "unused", "--method", method, "--seed", str(seed), "--iterations", "50",
+            "--set", f"N={n}", "--set", f"T={horizon}", "--set", f"rho={rho}"]
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args, cli._load_scenario(args))
+
+
+def _recorded_trajectory(method, seed, n, horizon, rho="0.0012"):
+    """trajectory.csv rendered row by row from a recording sink, and the run's k_end."""
+    cfg = apply_assignments(default_scenario(), [("N", str(n)), ("T", str(horizon)), ("rho", rho)])
+    outcomes, rows = run_recorded(run_trial, cfg, [method], base_seed=seed, trial=0, iterations=50)
+    return trajectory_text(rows.dog_trace, rows.sheep_traces), outcomes[method].run.k_end
+
+
+# A lone sheep at rho = 0.01 starts inside the goal disk, so its runs end at step 0.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), horizon=st.integers(0, 300), method=st.sampled_from(ALL_METHODS),
+       seed=st.integers(0, 50), rho=st.sampled_from(["0.0012", "0.01", "0.05"]))
+def test_streamed_trajectory_is_the_per_row_rendering(n, horizon, method, seed, rho):
+    expected, k_end = _recorded_trajectory(method, seed, n, horizon, rho)
+    assert _simulate_files(method, seed, n, horizon, rho)["trajectory.csv"] == expected
+    assert expected.count("\n") == k_end + 1
+
+
+@pytest.mark.parametrize("method", ["fat", "proposed:reverse"])
+@pytest.mark.parametrize("n, seed, rho", [(1, 0, "0.01"), (3, 2, "0.05")])
+def test_streamed_trajectory_of_a_run_already_at_the_goal(method, n, seed, rho):
+    expected, k_end = _recorded_trajectory(method, seed, n, 300, rho)
+    assert k_end == 0
+    assert _simulate_files(method, seed, n, 300, rho)["trajectory.csv"] == expected
+
+
+# Failed N = 20 fat runs of B - 2, B - 1, B and 2B - 1 steps print B - 1, B, B + 1 and 2B rows.
+@pytest.mark.parametrize("horizon", [TRAJECTORY_BLOCK - 2, TRAJECTORY_BLOCK - 1, TRAJECTORY_BLOCK,
+                                     2 * TRAJECTORY_BLOCK - 1])
+def test_streamed_trajectory_at_block_edges(horizon):
+    expected, k_end = _recorded_trajectory("fat", 0, 20, horizon)
+    assert k_end == horizon
+    assert _simulate_files("fat", 0, 20, horizon)["trajectory.csv"] == expected
+
+
+def test_simulate_peak_memory_is_about_the_trajectory_text():
+    # The episode keeps no states and the rows are rendered in blocks, so the
+    # peak is the finished blocks and their join: about twice the text.
+    _simulate_files("fat", 0, 20, 5)  # first-call allocations
+    tracemalloc.start()
+    try:
+        files = _simulate_files("fat", 0, 20, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert files["run_summary.txt"].count("k_end=3000") == 1
+    assert peak <= 2.2 * len(files["trajectory.csv"])
 
 
 def test_simulate_phase_log(simulate_out):

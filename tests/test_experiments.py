@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from _recorder import has_placeholder_traces, run_recorded
 from sheepdog import experiments
 from sheepdog.experiments import (
     METHOD_FAT,
@@ -28,8 +29,13 @@ def tiny_config():
 
 
 @pytest.fixture(scope="module")
-def tiny_outcomes():
-    return run_trial(tiny_config(), ALL_METHODS, base_seed=0, trial=0, iterations=200)
+def tiny_trial():
+    return run_recorded(run_trial, tiny_config(), ALL_METHODS, base_seed=0, trial=0, iterations=200)
+
+
+@pytest.fixture(scope="module")
+def tiny_outcomes(tiny_trial):
+    return tiny_trial[0]
 
 
 # -------------------------------------------------------------- method naming
@@ -48,13 +54,18 @@ def test_unknown_method_names_are_rejected():
 
 # ------------------------------------------------------------------- run_trial
 
-def test_trial_runs_every_method_from_shared_start(tiny_outcomes):
+def test_trial_runs_every_method_from_shared_start(tiny_trial):
+    tiny_outcomes, rows = tiny_trial
     assert list(tiny_outcomes) == ALL_METHODS
     for method, outcome in tiny_outcomes.items():
         assert outcome.method == method
         assert outcome.run.success, f"{method} failed on the tiny cell"
+    # The sink sees each method's episode in turn, k_end + 1 states each.
+    lengths = [o.run.k_end + 1 for o in tiny_outcomes.values()]
+    assert len(rows) == sum(lengths)
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
     # paired: identical warmed start means identical first dog position
-    first = {tuple(o.run.dog_trace[0]) for o in tiny_outcomes.values()}
+    first = {tuple(rows.dog_trace[i]) for i in starts}
     assert len(first) == 1
 
 
@@ -142,8 +153,8 @@ def test_batch_without_fat_or_methods():
 
 @pytest.mark.parametrize("base_seed", [0, 1])
 def test_unrecorded_batch_matches_recorded_trials(monkeypatch, base_seed):
-    # run_batch keeps no traces; its records must equal those of recorded
-    # trials field for field, J by ==, full-horizon failures included.
+    # run_batch passes no sink; its records must equal those of trials run
+    # with a recording sink field for field, J by ==, full-horizon failures included.
     base = ScenarioConfig(horizon=300)
     grid = [(3, 0.01), (20, 0.0012)]
     runs = []
@@ -159,17 +170,18 @@ def test_unrecorded_batch_matches_recorded_trials(monkeypatch, base_seed):
     records, _ = run_batch(base, grid, trials=2, strategies=["reverse", "exchange", "jump"],
                            base_seed=base_seed, iterations=200)
     assert len(runs) == len(records) == 16
-    assert all(run.dog_trace.shape == (0, 2) for run in runs)
+    assert all(has_placeholder_traces(run, record.n) for run, record in zip(runs, records))
     monkeypatch.undo()
 
     expected = []
     for n, rho in grid:
         config = replace(base, n_sheep=n, rho=rho)
         for trial in range(2):
-            outcomes = run_trial(config, ALL_METHODS, base_seed, trial, 200, record=True)
             for method in ALL_METHODS:
+                # One method per trial, so that each episode has a sink of its own.
+                outcomes, rows = run_recorded(run_trial, config, [method], base_seed, trial, 200)
                 run, plan = outcomes[method].run, outcomes[method].plan
-                assert run.dog_trace.shape[0] == run.k_end + 1
+                assert len(rows) == run.k_end + 1
                 expected.append(TrialRecord(
                     n, rho, trial, method, run.success, run.k_end, run.total_distance,
                     None if plan is None else plan.initial_cost, None if plan is None else plan.best_cost))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _flock_oracle import dense_flock_velocities, neighbor_set, sheep_velocity
+from _recorder import run_recorded
 from sheepdog import flock, guidance
 from sheepdog.flock import (
     FlockState,
@@ -202,17 +203,17 @@ def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):
 
     def episode():
         start = prepare_start_state(cfg, base_seed=0)
-        return start, run_fat(cfg, start)
+        return (start, *run_recorded(run_fat, cfg, start))
 
-    sparse_start, sparse = episode()
+    sparse_start, sparse, sparse_rows = episode()
     monkeypatch.setattr(flock, "flock_velocities", dense_flock_velocities)
     monkeypatch.setattr(guidance, "flock_velocities", dense_flock_velocities)
-    dense_start, dense = episode()
+    dense_start, dense, dense_rows = episode()
     assert sparse_start.sheep_pos.tobytes() == dense_start.sheep_pos.tobytes()
     assert sparse.k_end == dense.k_end
-    assert sparse.dog_trace.shape[0] == dense.dog_trace.shape[0] == sparse.k_end + 1
-    assert sparse.sheep_traces.tobytes() == dense.sheep_traces.tobytes()
-    assert sparse.dog_trace.tobytes() == dense.dog_trace.tobytes()
+    assert sparse_rows.dog_trace.shape[0] == dense_rows.dog_trace.shape[0] == sparse.k_end + 1
+    assert sparse_rows.sheep_traces.tobytes() == dense_rows.sheep_traces.tobytes()
+    assert sparse_rows.dog_trace.tobytes() == dense_rows.dog_trace.tobytes()
     assert sparse.total_distance == dense.total_distance
 
 

@@ -6,14 +6,16 @@ previous headings, a unit-vector pull toward them, and an inverse-square
 flight response away from the dog. Velocities are applied directly, so a
 sheep's displacement per step equals its velocity for that step.
 
-The neighbor test takes the differences of all N x N pairs as one
-C-ordered (2, N, N) array, whose planes are dx and dy. A small flock
-takes the distance of every pair with ``np.hypot``. From
-``_BOX_MIN_N`` sheep on, only the pairs with |dx| <= r_s and |dy| <= r_s
-get a distance: a faithfully rounded hypot is never below either leg,
-so no pair outside that box is within r_s, and a non-finite difference
-fails both tests. Either way the same pairs come out in row-major order
-with the same distances.
+A flock of fewer than ``_LIST_MIN_N`` sheep takes the differences of
+all N x N pairs as one C-ordered (2, N, N) array, whose planes are dx
+and dy, and the distance of every pair with ``np.hypot``. A larger
+flock searches a NeighbourList, a Verlet list that its caller keeps
+across the steps of one run. A build lists the pairs whose legs |dx|
+and |dy| are both within 2 r_s. Each step takes the differences and
+distances of the listed pairs alone, and the list is rebuilt once a
+sheep has moved more than r_s / 4 since the build. The class docstring
+says why that misses no neighbour. Either way the same pairs come out in
+row-major order with the same distances and differences.
 
 The three neighborhood terms are evaluated only for these P pairs, with
 each pair's direction taken from the dx, dy that gave its distance: one
@@ -27,7 +29,7 @@ terms a dense sum would add are exact zeros, which change no non-zero
 partial sum and leave a zero sum at +0.
 
 What does not change from call to call is built once: the gain column
-per ``SheepParams``, and below ``_BOX_MIN_N`` the per-size tables that
+per ``SheepParams``, and below ``_LIST_MIN_N`` the per-size tables that
 give each pair's bincount keys and neighbour index.
 """
 from __future__ import annotations
@@ -43,10 +45,11 @@ from .vec import EPS, UNIT_X, as_point
 # Row offsets of the pair-term matrix, scaled by N into bincount bins.
 _TERM_ROWS = np.arange(7)[:, None]
 
-# Flock size from which the box test beats N x N hypot calls. Kernel time,
-# box / dense, on in-episode states: 1.07 at N = 10, 0.99 at N = 20,
-# 0.95 at N = 24, 0.88 at N = 32, 0.44 at N = 100.
-_BOX_MIN_N = 32
+# Flock size from which the kernel searches a NeighbourList. Kernel time,
+# list / dense, median over in-episode states: 1.08 at N = 20, 1.03-1.06
+# at N = 24, 1.01 at N = 28, 0.96-0.97 at N = 32, 0.86 at N = 40, 0.75 at
+# N = 50.
+_LIST_MIN_N = 32
 
 
 @dataclass(frozen=True)
@@ -139,51 +142,103 @@ def _neighbour_pairs(xy: np.ndarray, r_s: float) -> tuple[np.ndarray, ...]:
     n = xy.shape[1]
     # diff[:, i, j] = xy[:, j] - xy[:, i]; C order keeps each axis's plane contiguous.
     diff = np.subtract(xy[:, None, :], xy[:, :, None], order="C")
-    dx, dy = diff[0], diff[1]
-    flat = diff.reshape(2, n * n)
-    if n < _BOX_MIN_N:
-        dist = np.hypot(dx, dy)
-        neighbors = dist <= r_s
-        neighbors.flat[:: n + 1] = False
-        pairs = neighbors.ravel().nonzero()[0]
-        return pairs, dist.take(pairs), flat.take(pairs, axis=1)
-    # One N x N temporary per axis, not one (2, N, N) for both.
-    box = np.abs(dx) <= r_s
-    box &= np.abs(dy) <= r_s
-    box.flat[:: n + 1] = False
-    candidates = box.ravel().nonzero()[0]
-    cand_diff = flat.take(candidates, axis=1)
-    cand_dist = np.hypot(cand_diff[0], cand_diff[1])
-    inside = cand_dist <= r_s
-    return candidates[inside], cand_dist[inside], cand_diff.compress(inside, axis=1)
+    dist = np.hypot(diff[0], diff[1])
+    neighbors = dist <= r_s
+    neighbors.flat[:: n + 1] = False
+    pairs = neighbors.ravel().nonzero()[0]
+    return pairs, dist.take(pairs), diff.reshape(2, n * n).take(pairs, axis=1)
 
 
-def flock_velocities(state: FlockState, params: SheepParams) -> np.ndarray:
+class NeighbourList:
+    """The pairs of one flock that may be within r_s, kept across steps
+    (a Verlet list; Verlet 1967).
+
+    A build takes the N x N differences and lists the pairs i != j whose
+    legs |dx| and |dy| are both at most 2 r_s, in ascending i*N + j
+    order, and keeps the positions it saw. A query takes x_j - x_i,
+    y_j - y_i and ``np.hypot`` for the listed pairs alone and keeps
+    those within r_s. It rebuilds first unless no coordinate of any
+    sheep has changed by more than r_s / 4 since the build. A nan or inf
+    change fails that test, so a flock that turned non-finite is
+    searched afresh on every step.
+
+    No neighbour is missed. An unlisted pair had a leg longer than 2 r_s
+    at the build, or one that was not finite, which finite positions
+    give only by overflowing. Each of its two sheep has since moved at
+    most r_s / 4 along that axis, so the leg is still longer than
+    1.5 r_s, and a faithfully rounded hypot is never below either leg.
+    That margin of r_s / 2 is far larger than the rounding of the few
+    subtractions involved. A listed pair is tested with the same
+    subtraction and hypot as in an N x N search, so a query gives the
+    same pairs, in the same order, with the same distances and
+    differences.
+    """
+
+    __slots__ = ("_pos", "_r_s", "_ij")
+
+    def __init__(self) -> None:
+        self._pos = None
+
+    def _build(self, pos: np.ndarray, r_s: float) -> None:
+        xy = pos.T
+        n = xy.shape[1]
+        reach = 2.0 * r_s
+        diff = np.subtract(xy[:, None, :], xy[:, :, None], order="C")
+        box = np.abs(diff[0]) <= reach
+        box &= np.abs(diff[1]) <= reach
+        box.flat[:: n + 1] = False
+        listed = box.ravel().nonzero()[0]
+        self._ij = np.empty((2, listed.size), dtype=listed.dtype)
+        np.divmod(listed, n, out=(self._ij[0], self._ij[1]))
+        # A copy, so that a caller who writes to pos cannot hide a move.
+        self._pos, self._r_s = pos.copy(), r_s
+
+    def pairs(self, pos: np.ndarray, r_s: float) -> tuple[np.ndarray, ...]:
+        """Each pair i != j within r_s of the (N, 2) positions pos, in
+        ascending i*N + j order: its i, its j, its distance and, as the
+        rows of one (2, P) array, its differences x_j - x_i and y_j - y_i."""
+        built = self._pos
+        stale = built is None or built.shape != pos.shape or r_s != self._r_s
+        if stale or not np.abs(pos - built).max() <= r_s / 4:
+            self._build(pos, r_s)
+        ij = self._ij
+        diff = np.subtract(pos.take(ij[1], axis=0), pos.take(ij[0], axis=0))
+        dist = np.hypot(diff[:, 0], diff[:, 1])
+        inside = (dist <= r_s).nonzero()[0]
+        i, j = ij.take(inside, axis=1)
+        return i, j, dist.take(inside), diff.take(inside, axis=0).T
+
+
+def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList | None = None) -> np.ndarray:
     """Velocities for every sheep computed from the same state snapshot.
 
     Sheep with no neighbors get zero separation, alignment, and cohesion;
     the flight term away from the dog always applies. Distances in
     denominators are clamped below by EPS and an exactly coincident pair
-    repels along +x.
+    repels along +x. A flock of ``_LIST_MIN_N`` sheep or more finds its
+    pairs through near, a NeighbourList that the caller keeps from step
+    to step of one flock, or through a new one if near is None.
     """
     xy = state.sheep_pos.T
     n = xy.shape[1]
 
-    pairs, pair_dist, pair_diff = _neighbour_pairs(xy, params.r_s)
     # Bincount keys of the pair-term matrix, flattened, and each pair's
     # neighbour j. Small flocks look them up: their tables hold 8 N * N
-    # integers, under 62 kB. Larger flocks split the pairs afresh, so that
-    # their memory does not grow with N * N between calls.
-    if n < _BOX_MIN_N:
+    # integers, under 62 kB. Larger flocks build them from the pairs, so
+    # that their memory does not grow with N * N between calls.
+    if n < _LIST_MIN_N:
+        pairs, pair_dist, pair_diff = _neighbour_pairs(xy, params.r_s)
         key_table, neighbour = _pair_tables(n)
         keys, j = key_table.take(pairs, axis=1).ravel(), neighbour.take(pairs)
     else:
-        i, j = np.divmod(pairs, n)
+        if near is None:
+            near = NeighbourList()
+        i, j, pair_dist, pair_diff = near.pairs(state.sheep_pos, params.r_s)
         keys = (_TERM_ROWS * n + i).ravel()
 
     clamped = np.maximum(pair_dist, EPS)
     # Rows: separation x/y, alignment x/y, cohesion x/y, neighbour count.
-    terms = np.empty((7, pairs.size))
+    terms = np.empty((7, j.size))
     toward = np.divide(pair_diff, clamped, out=terms[4:6])
     # away / clamped**2 with away = -toward: negating the divisor instead
     # gives the same bits.
@@ -220,11 +275,11 @@ def flock_velocities(state: FlockState, params: SheepParams) -> np.ndarray:
     return np.add(v.T, flight.T, order="C")  # laid out like sheep_pos
 
 
-def step_flock(state: FlockState, params: SheepParams) -> FlockState:
+def step_flock(state: FlockState, params: SheepParams, near: NeighbourList | None = None) -> FlockState:
     """Advance every sheep one step; the dog does not move here.
 
     The result is an unchecked snapshot: its caller checks the last state
     of a run, as placement.warmup does.
     """
-    v = flock_velocities(state, params)
+    v = flock_velocities(state, params, near)
     return _snapshot(state.step + 1, state.sheep_pos + v, v, state.dog_pos)

@@ -22,9 +22,10 @@ controller's contact test, its choice of the sheep to track and to
 stand off, and the drive's farthest sheep read the two rows. A gather
 target's distances are taken once per step, and again only when a
 collection moves the target within that step. The drive's candidates
-are checked once per phase. The kernel, the dog laws (two floats out)
-and the goal check are called through this module's names, where a
-tracer can wrap them.
+are checked once per phase. The kernel gets one neighbour list per
+episode, which it reuses across steps. The kernel, the dog laws (two
+floats out) and the goal check are called through this module's names,
+where a tracer can wrap them.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .dog import _check_candidates, _length, approach_velocity, steering_command
-from .flock import FlockState, _snapshot, flock_velocities
+from .flock import FlockState, NeighbourList, _snapshot, flock_velocities
 from .routing import Tour
 from .scenario import GoalSpec, ScenarioConfig
 from .vec import distances
@@ -167,12 +168,13 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
 
     if not success:
         dog_x, dog_y = state.dog_pos.tolist()
+        near = NeighbourList()
         for k in range(scenario.horizon):
             phase, (vx, vy) = controller(state, dists)
             # The controller hands out a new phase object only when the phase changes.
             if not phases or phase is not phases[-1][1]:
                 phases.append((k, phase))
-            v_sheep = flock_velocities(state, scenario.sheep)
+            v_sheep = flock_velocities(state, scenario.sheep, near)
             dog_x += vx
             dog_y += vy
             state = _snapshot(state.step + 1, state.sheep_pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .flock import FlockState, step_flock
+from .flock import FlockState, NeighbourList, step_flock
 from .scenario import ScenarioConfig, stream_seed
 
 
@@ -42,14 +42,15 @@ def initial_placement(config: ScenarioConfig, rng: np.random.Generator) -> Flock
 def warmup(state: FlockState, params, steps: int) -> FlockState:
     """Let the flock settle for steps updates while the dog stands still.
 
-    The steps are unchecked snapshots; the settled state is rebuilt
-    through the checked constructor, which raises if any value turned
-    non-finite on the way.
+    The steps share one neighbour list and are unchecked snapshots; the
+    settled state is rebuilt through the checked constructor, which
+    raises if any value turned non-finite on the way.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    near = NeighbourList()
     for _ in range(steps):
-        state = step_flock(state, params)
+        state = step_flock(state, params, near)
     return replace(state)
 
 

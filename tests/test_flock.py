@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _flock_oracle import dense_flock_velocities, neighbor_set, sheep_velocity
-from _recorder import run_recorded
+from _recorder import Recorder
 from sheepdog import flock, guidance
+from sheepdog.experiments import run_trial
 from sheepdog.flock import (
     FlockState,
+    NeighbourList,
     SheepParams,
     flock_velocities,
     step_flock,
@@ -146,8 +148,8 @@ def flocks(draw):
     return make_state(pos, dog, vel_prev=vel), params
 
 
-# Values of flock._BOX_MIN_N that send every flock down the box path and
-# down the dense path of the neighbour search.
+# Values of flock._LIST_MIN_N that send every flock down the neighbour
+# list and down the dense path of the neighbour search.
 BOTH_PAIR_SEARCHES = (1, 10**9)
 
 
@@ -158,9 +160,9 @@ def test_flock_velocities_are_bitwise_the_dense_oracle(flock_and_params):
     fortran = make_state(
         np.asfortranarray(state.sheep_pos), state.dog_pos, vel_prev=np.asfortranarray(state.sheep_vel_prev)
     )
-    for box_min_n in BOTH_PAIR_SEARCHES:
+    for list_min_n in BOTH_PAIR_SEARCHES:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(flock, "_BOX_MIN_N", box_min_n)
+            mp.setattr(flock, "_LIST_MIN_N", list_min_n)
             assert flock_velocities(state, params).flags.c_contiguous
             for layout in (state, fortran):
                 velocities = flock_velocities(layout, params)
@@ -172,7 +174,7 @@ def test_kernel_constants_stay_with_their_params_and_flock_size():
     # flock size; alternating both must never carry one call's into the next.
     rng = np.random.default_rng(61)
     params = (DEFAULTS, replace(DEFAULTS, r_s=25.0, k_separation=40.0, k_alignment=3.0, k_cohesion=0.25))
-    # Two sizes of the dense search, then one of the box search.
+    # Two sizes of the dense search, then one of the neighbour list.
     states = tuple(random_state(rng, n=n, spread=spread) for n, spread in ((9, 25.0), (14, 30.0), (40, 45.0)))
     for _ in range(3):
         for p in params:
@@ -183,38 +185,149 @@ def test_kernel_constants_stay_with_their_params_and_flock_size():
     assert "_gains" not in repr(DEFAULTS)
 
 
-def test_both_pair_searches_skip_non_finite_pairs(monkeypatch):
+def test_both_pair_searches_skip_non_finite_pairs():
     # Sheep 0 and 1 are the only finite pair within r_s; every other pair
     # has an inf or nan difference.
     x = np.array([0.0, 5.0, np.inf, -np.inf, np.nan, 10.0, np.inf])
     y = np.array([0.0, 5.0, 0.0, np.inf, 1.0, np.nan, np.inf])
-    found = []
-    for box_min_n in BOTH_PAIR_SEARCHES:
-        monkeypatch.setattr(flock, "_BOX_MIN_N", box_min_n)
-        with np.errstate(invalid="ignore"):
-            pairs = flock._neighbour_pairs(np.array((x, y)), R_S)
-        assert pairs[0].tolist() == [1, 7]  # (0, 1) and (1, 0), row-major
-        found.append([a.tobytes() for a in pairs])
-    assert found[0] == found[1]
+    near = NeighbourList()
+    with np.errstate(invalid="ignore"):
+        pairs, dist, diff = flock._neighbour_pairs(np.array((x, y)), R_S)
+        # The second query sees a nan displacement and rebuilds the list.
+        for _ in range(2):
+            i, j, listed_dist, listed_diff = near.pairs(np.column_stack((x, y)), R_S)
+            assert (i * x.size + j).tolist() == pairs.tolist() == [1, 7]  # (0, 1) and (1, 0), row-major
+            assert listed_dist.tobytes() == dist.tobytes()
+            assert listed_diff.tobytes() == diff.tobytes()
 
 
 def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):
-    cfg = ScenarioConfig(n_sheep=100, rho=0.0012, horizon=200)
+    # The warm-ups and episodes feed the kernel through a neighbour list:
+    # fat and proposed:reverse at N = 100, and fat at N = 32, the cut-over.
+    runs = ((100, ["fat", "proposed:reverse"]), (32, ["fat"]))
 
-    def episode():
-        start = prepare_start_state(cfg, base_seed=0)
-        return (start, *run_recorded(run_fat, cfg, start))
+    def episodes():
+        out = []
+        for n, methods in runs:
+            cfg = ScenarioConfig(n_sheep=n, rho=0.0012, horizon=200)
+            rows = Recorder()
+            outcomes = run_trial(cfg, methods, 0, 0, 200, sink=rows)
+            out.append(([(o.run.success, o.run.k_end, o.run.total_distance) for o in outcomes.values()], rows))
+        return out
 
-    sparse_start, sparse, sparse_rows = episode()
-    monkeypatch.setattr(flock, "flock_velocities", dense_flock_velocities)
-    monkeypatch.setattr(guidance, "flock_velocities", dense_flock_velocities)
-    dense_start, dense, dense_rows = episode()
-    assert sparse_start.sheep_pos.tobytes() == dense_start.sheep_pos.tobytes()
-    assert sparse.k_end == dense.k_end
-    assert sparse_rows.dog_trace.shape[0] == dense_rows.dog_trace.shape[0] == sparse.k_end + 1
-    assert sparse_rows.sheep_traces.tobytes() == dense_rows.sheep_traces.tobytes()
-    assert sparse_rows.dog_trace.tobytes() == dense_rows.dog_trace.tobytes()
-    assert sparse.total_distance == dense.total_distance
+    listed = episodes()
+
+    def dense(state, params, near=None):
+        return dense_flock_velocities(state, params)
+
+    monkeypatch.setattr(flock, "flock_velocities", dense)
+    monkeypatch.setattr(guidance, "flock_velocities", dense)
+    for (listed_runs, listed_rows), (dense_runs, dense_rows) in zip(listed, episodes(), strict=True):
+        assert listed_runs == dense_runs
+        # Two zero-row traces would compare equal below without checking a step.
+        assert len(listed_rows) == len(dense_rows) == sum(k_end + 1 for _, k_end, _ in listed_runs)
+        assert listed_rows.sheep_traces.tobytes() == dense_rows.sheep_traces.tobytes()
+        assert listed_rows.dog_trace.tobytes() == dense_rows.dog_trace.tobytes()
+
+
+def test_a_large_episode_reuses_its_neighbour_list(monkeypatch):
+    # Sheep move about 1.1 per step against r_s / 4 = 5, so a list lasts
+    # several steps; a rebuild on every step would fail here.
+    cfg = ScenarioConfig(n_sheep=100, rho=0.0012, horizon=600)
+    start = prepare_start_state(cfg, base_seed=0)
+    build, builds = NeighbourList._build, []
+
+    def counted(self, pos, r_s):
+        builds.append(1)
+        build(self, pos, r_s)
+
+    monkeypatch.setattr(NeighbourList, "_build", counted)
+    record = run_fat(cfg, start)
+    assert record.k_end == 600
+    assert 0 < len(builds) < record.k_end / 2
+
+
+# Moves of a walk, in units of r_s: still, a small step, just under, at and
+# just over the r_s / 4 that triggers a rebuild, and jumps over 2 r_s. The
+# walks also draw sizes up to 0.6, so a list kept too long misses pairs.
+_QUARTER = 0.25
+_MOVES = (0.0, 0.01, np.nextafter(_QUARTER, 0.0), _QUARTER, np.nextafter(_QUARTER, 1.0), 2.0, 2.5)
+# Walks keep every coordinate within this, so no difference overflows.
+_COORD_LIMIT = 4e307
+
+
+@st.composite
+def walks(draw):
+    n = draw(st.one_of(st.integers(32, 60), st.integers(1, 31)))
+    r_s = draw(st.one_of(st.sampled_from([R_S, 1e-3, 1e308]), st.floats(1e-3, 1e308)))
+    # Lattice points put pairs at exactly r_s; fewer points than sheep
+    # put several sheep on one spot.
+    unit = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+    points = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=n))
+    start = np.array(draw(st.lists(st.sampled_from(points), min_size=n, max_size=n)))
+    steps = []
+    for _ in range(draw(st.integers(2, 30))):
+        size = draw(st.one_of(st.sampled_from(_MOVES), st.floats(0.0, 0.6)))
+        seed = draw(st.integers(0, 2**32 - 1))
+        steps.append((size, seed))
+    dog = draw(st.tuples(unit, unit))
+    return r_s, start, steps, dog
+
+
+def _walk_states(r_s, start, steps, dog):
+    """Checked states along the walk: each step moves every sheep by
+    size * r_s or not at all along each axis, with a random sign."""
+    pos = np.clip(start * r_s, -_COORD_LIMIT, _COORD_LIMIT)
+    dog_pos = np.clip(np.array(dog) * r_s, -_COORD_LIMIT, _COORD_LIMIT)
+    state = make_state(pos, dog_pos)
+    yield state
+    for size, seed in steps:
+        signs = np.random.default_rng(seed).integers(-1, 2, size=pos.shape)
+        # Python floats: a jump over 2 r_s = inf is cut to a finite one.
+        length = min(float(size) * r_s, 2 * _COORD_LIMIT)
+        moved = np.clip(pos + signs * length, -_COORD_LIMIT, _COORD_LIMIT)
+        state = make_state(moved, dog_pos, vel_prev=moved - pos, step=state.step + 1)
+        pos = moved
+        yield state
+
+
+@settings(max_examples=60, deadline=None)
+@given(walks())
+def test_neighbour_list_walks_are_bitwise_the_dense_oracle(walk):
+    r_s, start, steps, dog = walk
+    params, near = SheepParams(r_s), NeighbourList()
+    # Huge r_s overflows the squares of the distances; the terms go to 0 on both sides.
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(flock, "_LIST_MIN_N", 1)
+        for state in _walk_states(r_s, start, steps, dog):
+            listed = flock_velocities(state, params, near)
+            assert listed.tobytes() == flock_velocities(state, params).tobytes()
+            assert listed.tobytes() == dense_flock_velocities(state, params).tobytes()
+
+
+def test_a_walk_that_turns_non_finite_matches_the_kernel_without_a_list(monkeypatch):
+    # A sheep's position turns nan after step 5; the list then rebuilds on
+    # every step, and each step still gives the no-list kernel's bits.
+    cfg = ScenarioConfig(n_sheep=40, rho=0.0012)
+    state = prepare_start_state(cfg, base_seed=3)
+    params, near = cfg.sheep, NeighbourList()
+    build, rebuilt_at = NeighbourList._build, set()
+
+    def counted(self, pos, r_s):
+        if self is near:
+            rebuilt_at.add(state.step)
+        build(self, pos, r_s)
+
+    monkeypatch.setattr(NeighbourList, "_build", counted)
+    for k in range(12):
+        listed = flock_velocities(state, params, near)
+        assert listed.tobytes() == flock_velocities(state, params).tobytes()
+        pos = state.sheep_pos + listed
+        if k == 5:
+            pos[7] = np.nan
+        state = flock._snapshot(state.step + 1, pos, listed, state.dog_pos)
+    assert np.isnan(state.sheep_pos[7]).all()
+    assert rebuilt_at >= set(range(6, 12))
 
 
 # ------------------------------------------------------------------ stepping

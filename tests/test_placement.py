@@ -119,9 +119,9 @@ def test_warmup_steps_skip_a_patched_flock_state(monkeypatch):
     plain = warmup(placed, cfg.sheep, 30)
     kernel, real_state, calls, builds = flock.flock_velocities, flock.FlockState, [], []
 
-    def counted_kernel(state, params):
+    def counted_kernel(state, params, near):
         calls.append(state.step)
-        return kernel(state, params)
+        return kernel(state, params, near)
 
     def counted_state(*args, **kwargs):
         builds.append(1)
@@ -141,9 +141,9 @@ def test_warmup_rejects_a_state_that_turned_non_finite(monkeypatch):
     placed = initial_placement(cfg, np.random.default_rng(4))
     kernel, calls = flock.flock_velocities, []
 
-    def blows_up_at_step_ten(state, params):
+    def blows_up_at_step_ten(state, params, near):
         calls.append(state.step)
-        v = kernel(state, params)
+        v = kernel(state, params, near)
         return np.full_like(v, bad) if len(calls) == 10 else v
 
     monkeypatch.setattr(flock, "flock_velocities", blows_up_at_step_ten)

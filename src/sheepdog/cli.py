@@ -1,6 +1,7 @@
 """Command line front end: plan a tour, simulate one episode, or run a batch.
 
-A command returns its files as {name: text} in write order; only run_cli makes --out and writes them.
+A command returns its files as {name: text} in write order, where a text is a str or a list of str
+blocks; only run_cli makes --out and writes them, a block at a time.
 """
 from __future__ import annotations
 
@@ -96,18 +97,18 @@ class _TrajectoryRows:
             self._blocks.append(self._row * TRAJECTORY_BLOCK % tuple(self._values))
             self._values.clear()
 
-    def text(self) -> str:
+    def blocks(self) -> list[str]:
         """The whole file, once the episode has ended: the full blocks, then the rows after them."""
         self._blocks.append(self._row * (self._k % TRAJECTORY_BLOCK) % tuple(self._values))
         self._values.clear()
-        return "".join(self._blocks)
+        return self._blocks
 
 
 def _phases_text(record: RunRecord) -> str:
     return "".join(f"{k},{phase.mode.value},{phase.nu}\n" for k, phase in record.phases)
 
 
-def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str]:
+def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str | list[str]]:
     rows = _TrajectoryRows(cfg.n_sheep)
     outcome = run_trial(cfg, [args.method], args.seed, trial=0, iterations=args.iterations, sink=rows)[args.method]
     record = outcome.run
@@ -123,7 +124,7 @@ def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, st
             f"tour_cost_initial={fmt(outcome.plan.initial_cost)}\n"
             f"tour_cost_final={fmt(outcome.plan.best_cost)}\n"
         )
-    return {"trajectory.csv": rows.text(), "phases.csv": _phases_text(record), "run_summary.txt": summary}
+    return {"trajectory.csv": rows.blocks(), "phases.csv": _phases_text(record), "run_summary.txt": summary}
 
 
 def _parse_grid(raw: str) -> list[tuple[int, float]]:
@@ -208,7 +209,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (out / name).write_text(text)
+            # Written as Path.write_text would, but encoded a block at a time.
+            with (out / name).open("w") as f:
+                f.writelines([text] if isinstance(text, str) else text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -209,7 +209,8 @@ class NeighbourList:
         return i, j, dist.take(inside), diff.take(inside, axis=0).T
 
 
-def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList | None = None) -> np.ndarray:
+def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList | None = None,
+                     from_dog: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Velocities for every sheep computed from the same state snapshot.
 
     Sheep with no neighbors get zero separation, alignment, and cohesion;
@@ -218,6 +219,11 @@ def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList
     repels along +x. A flock of ``_LIST_MIN_N`` sheep or more finds its
     pairs through near, a NeighbourList that the caller keeps from step
     to step of one flock, or through a new one if near is None.
+
+    from_dog, if given, is the state's sheep - dog differences, shape
+    (2, N), and their np.hypot distances, as vec.offsets gives them; the
+    kernel reads them and does not write to them. Without it the kernel
+    takes the same subtraction and hypot itself.
     """
     xy = state.sheep_pos.T
     n = xy.shape[1]
@@ -260,10 +266,12 @@ def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList
     weighted = sums[:6] / np.maximum(sums[6], 1.0)
     weighted *= params._gains
 
-    flight = np.subtract(xy, state.dog_pos[:, None], order="C")
-    dog_dist = np.hypot(flight[0], flight[1])
+    if from_dog is None:
+        away = np.subtract(xy, state.dog_pos[:, None], order="C")
+        from_dog = away, np.hypot(away[0], away[1])
+    away, dog_dist = from_dog
     dog_clamped = np.maximum(dog_dist, EPS)
-    flight /= dog_clamped
+    flight = np.divide(away, dog_clamped)
     dog_coincident = dog_dist == 0.0
     if np.count_nonzero(dog_coincident):
         flight[:, dog_coincident] = UNIT_X[:, None]

@@ -19,7 +19,8 @@ Each state's distances are taken once. One (2, 2, N) difference of the
 sheep against the dog and the goal centre and one ``np.hypot`` give
 every sheep's distance to both. The goal check reads the goal row; the
 controller's contact test, its choice of the sheep to track and to
-stand off, and the drive's farthest sheep read the two rows. A gather
+stand off, and the drive's farthest sheep read the two rows; the
+kernel's flight term reads the dog's differences and distances. A gather
 target's distances are taken once per step, and again only when a
 collection moves the target within that step. The drive's candidates
 are checked once per phase. The kernel gets one neighbour list per
@@ -38,7 +39,7 @@ from .dog import _check_candidates, _length, approach_velocity, steering_command
 from .flock import FlockState, NeighbourList, _snapshot, flock_velocities
 from .routing import Tour
 from .scenario import GoalSpec, ScenarioConfig
-from .vec import distances
+from .vec import distances, offsets
 
 
 class GuidanceMode(Enum):
@@ -157,7 +158,7 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
     # in one pass; row 0 of points is rewritten as the dog moves.
     points = np.empty((2, 2, 1))
     points[:, :, 0] = state.dog_pos, goal.center
-    dists = distances(state.sheep_pos, points)
+    away, dists = offsets(state.sheep_pos, points)
 
     first_step = state.step
     if sink is not None:
@@ -174,7 +175,7 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
             # The controller hands out a new phase object only when the phase changes.
             if not phases or phase is not phases[-1][1]:
                 phases.append((k, phase))
-            v_sheep = flock_velocities(state, scenario.sheep, near)
+            v_sheep = flock_velocities(state, scenario.sheep, near, (away[0], dists[0]))
             dog_x += vx
             dog_y += vy
             state = _snapshot(state.step + 1, state.sheep_pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
@@ -182,7 +183,7 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
             if sink is not None:
                 sink(state)
             points[0, :, 0] = dog_x, dog_y
-            dists = distances(state.sheep_pos, points)
+            away, dists = offsets(state.sheep_pos, points)
             if goal_reached(dists[1], goal):
                 success = True
                 break

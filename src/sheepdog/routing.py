@@ -12,6 +12,19 @@ same floats added in the same order, so results are bit-identical to
 re-summing every candidate's full path. That holds on every instance the
 search accepts; it rejects two points more than the largest float apart,
 whose O(1) change would be inf - inf.
+
+Once the search has settled, nearly every candidate is rejected on its
+O(1) change. After _WINDOW_AFTER candidates in a row score above the
+margin, the pairs already drawn are scored a window at a time: one numpy
+pass takes every pair's change against the unchanged path, adding and
+subtracting the same table floats in the same order as the scalar
+change, so each score is the same float, overflow to inf or nan
+included. The first pair that scores at or under the margin goes back to
+the scalar scan, which scores it again, builds it and tests it as before;
+every pair ahead of it would have been rejected on the same score. The
+draws, the margin and the acceptance test do not change, so neither do
+the tours, the costs or the trace. A search that still accepts often
+stays scalar: there a window would mostly score pairs past its hit.
 """
 from __future__ import annotations
 
@@ -92,7 +105,7 @@ class RlsResult:
     initial_cost: float
 
 
-def _distance_table(instance: TourInstance) -> list[list[float]]:
+def _distance_table(instance: TourInstance) -> np.ndarray:
     # Node 0 is the dog start, 1..N the sheep, N+1 the goal.
     pts = np.vstack([instance.dog_start, instance.sheep_start, instance.goal])
     with np.errstate(over="ignore"):  # finite points can lie more than the largest float apart
@@ -100,7 +113,7 @@ def _distance_table(instance: TourInstance) -> list[list[float]]:
         table = np.hypot(diff[..., 0], diff[..., 1])
     if not np.isfinite(table).all():
         raise ValueError("tour instance distances must be finite")
-    return table.tolist()
+    return table
 
 
 def _running_costs(table: list[list[float]], path: tuple[int, ...], start: int, total: float) -> list[float]:
@@ -150,11 +163,39 @@ def _jump_delta(t: list[list[float]], path: list[int], a: int, b: int) -> float:
     return t[p][xn] + t[y][x] + t[x][q] - t[p][x] - t[x][xn] - t[y][q]
 
 
-# strategy -> (move, its cost change)
+# The same cost changes for arrays of positions a < b against one path:
+# t is the flattened table, so t[u * m + v] is the scalar t[u][v], and
+# path is an array of its m nodes, so path[s:].take(a) is path[a + s].
+# Each sum adds the same floats in the same order as its scalar twin.
+
+def _reverse_deltas(t: np.ndarray, path: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    m = path.size
+    p, x, y, q = path.take(a), path[1:].take(a), path[1:].take(b), path[2:].take(b)
+    pm, xm, ym = p * m, x * m, y * m
+    return t.take(pm + y) + t.take(xm + q) - t.take(pm + x) - t.take(ym + q)
+
+def _exchange_deltas(t: np.ndarray, path: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    m = path.size
+    p, x, xn = path.take(a), path[1:].take(a), path[2:].take(a)
+    yp, y, q = path.take(b), path[1:].take(b), path[2:].take(b)
+    pm, xm, ypm, ym = p * m, x * m, yp * m, y * m
+    py, xq, px, yq = t.take(pm + y), t.take(xm + q), t.take(pm + x), t.take(ym + q)
+    apart = py + t.take(ym + xn) + t.take(ypm + x) + xq - px - t.take(xm + xn) - t.take(ypm + y) - yq
+    # Neighbours: the scalar delta takes the reversal's four edges.
+    return np.where(b == a + 1, py + xq - px - yq, apart)
+
+def _jump_deltas(t: np.ndarray, path: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    m = path.size
+    p, x, xn, y, q = path.take(a), path[1:].take(a), path[2:].take(a), path[1:].take(b), path[2:].take(b)
+    pm, xm, ym = p * m, x * m, y * m
+    return t.take(pm + xn) + t.take(ym + x) + t.take(xm + q) - t.take(pm + x) - t.take(xm + xn) - t.take(ym + q)
+
+
+# strategy -> (move, its cost change, the cost changes of a window of pairs)
 _KERNELS = {
-    "reverse": (reverse_segment, _reverse_delta),
-    "exchange": (exchange_positions, _exchange_delta),
-    "jump": (jump_insert, _jump_delta),
+    "reverse": (reverse_segment, _reverse_delta, _reverse_deltas),
+    "exchange": (exchange_positions, _exchange_delta, _exchange_deltas),
+    "jump": (jump_insert, _jump_delta, _jump_deltas),
 }
 
 # A candidate is rejected on its O(1) cost change only when that change
@@ -163,21 +204,49 @@ _KERNELS = {
 _REJECT_MARGIN = 1e-9
 # Position pairs are drawn this many at a time.
 _DRAW_CHUNK = 4096
+# After this many candidates in a row score above the margin, the next
+# ones are scored a window at a time. A window starts at _FIRST_WINDOW
+# pairs and doubles, up to _MAX_WINDOW, until one pair scores at or under
+# the margin.
+_WINDOW_AFTER = 256
+_FIRST_WINDOW = 256
+_MAX_WINDOW = 1024
 
 
 def _drawn_positions(rng: np.random.Generator, n: int, iterations: int):
     """Uniform unordered pairs a < b of distinct positions, drawn in chunks.
 
-    Each pair takes two draws, a from [0, n) and b from [0, n - 1), and b
-    skips past a, so the stream is the same as drawing one pair at a time.
+    Yields each chunk's arrays of a and of b, the two columns of one
+    array of draws. Each pair takes two draws, a from [0, n) and b from
+    [0, n - 1), and b skips past a, so the stream is the same as drawing
+    one pair at a time.
     """
-    highs = np.tile([n, n - 1], min(iterations, _DRAW_CHUNK))
+    highs = np.array([n, n - 1])
     for start in range(0, iterations, _DRAW_CHUNK):
-        k = min(_DRAW_CHUNK, iterations - start)
-        draws = rng.integers(0, highs[: 2 * k]).reshape(k, 2)
-        a, b = draws[:, 0], draws[:, 1]
-        b = b + (b >= a)
-        yield from zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())
+        draws = rng.integers(0, highs, size=(min(_DRAW_CHUNK, iterations - start), 2))
+        a, b = draws.T
+        b += b >= a
+        a[...], b[...] = np.minimum(a, b), np.maximum(a, b)
+        yield a, b
+
+
+def _first_hit(deltas, table: np.ndarray, path: tuple[int, ...], a: np.ndarray, b: np.ndarray,
+               start: int, margin: float) -> int:
+    """The first index from start on whose pair a[i], b[i] changes the
+    cost of path by at most margin, or len(a) if none does."""
+    flat, nodes = table.ravel(), np.fromiter(path, np.intp, len(path))
+    window = _FIRST_WINDOW
+    # Sums near the largest float overflow to inf, and inf - inf is nan,
+    # as in the scalar deltas; only numpy would warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < a.size:
+            stop = min(start + window, a.size)
+            hits = (deltas(flat, nodes, a[start:stop], b[start:stop]) <= margin).nonzero()[0]
+            if hits.size:
+                return start + int(hits[0])
+            start = stop
+            window = min(2 * window, _MAX_WINDOW)
+    return a.size
 
 
 def random_tour(n: int, rng: np.random.Generator) -> Tour:
@@ -200,8 +269,10 @@ def rls_optimize(
     elif initial.n != instance.n:
         raise ValueError(f"initial tour over {initial.n} sheep does not match instance of {instance.n}")
 
-    table = _distance_table(instance)
-    move, delta = _KERNELS[config.strategy]
+    # Windows read the array; the scalar scan reads the same floats as lists.
+    table_array = _distance_table(instance)
+    table = table_array.tolist()
+    move, delta, deltas = _KERNELS[config.strategy]
     n = instance.n
     # Table nodes: the dog, the sheep in visiting order, the goal; so order
     # position i is path[i + 1], and the moves apply to path at i + 1.
@@ -215,19 +286,41 @@ def rls_optimize(
     costs = [cost]
     if n >= 2:
         margin = _REJECT_MARGIN * cost
-        for it, (a, b) in enumerate(_drawn_positions(rng, n, config.iterations)):
-            if delta(table, path, a, b) <= margin:
-                # A move first changes the edge into order position a, so
-                # the candidate's sum goes on from the current total at path[a].
-                candidate = move(path, a + 1, b + 1)
-                tail = _running_costs(table, candidate, a, totals[a])
-                if tail[-1] <= cost:
-                    path = candidate
-                    totals[a:] = tail
-                    cost = tail[-1]
-                    margin = _REJECT_MARGIN * cost
-                    accepted_at.append(it)
-                    costs.append(cost)
+        quiet = 0  # how many of the latest candidates in a row scored above the margin
+        first = 0  # iteration of the chunk's first pair
+        for chunk_a, chunk_b in _drawn_positions(rng, n, config.iterations):
+            pairs_a, pairs_b = chunk_a.tolist(), chunk_b.tolist()
+            i, k = 0, len(pairs_a)
+            while i < k:
+                if quiet >= _WINDOW_AFTER:
+                    hit = _first_hit(deltas, table_array, path, chunk_a, chunk_b, i, margin)
+                    quiet += hit - i
+                    if hit == k:
+                        break
+                    # The scalar stretch below scores the hit again; quiet
+                    # counts from just before it, so the stretch runs on
+                    # _WINDOW_AFTER candidates past the hit.
+                    i, quiet = hit, -1
+                stop = min(k, i + _WINDOW_AFTER - quiet)
+                last = i - 1 - quiet  # index of the latest hit
+                for j, a, b in zip(range(i, stop), pairs_a[i:stop], pairs_b[i:stop]):
+                    if delta(table, path, a, b) <= margin:
+                        last = j
+                        # A move first changes the edge into order position a, so
+                        # the candidate's sum goes on from the current total at path[a].
+                        candidate = move(path, a + 1, b + 1)
+                        tail = _running_costs(table, candidate, a, totals[a])
+                        if tail[-1] <= cost:
+                            path = candidate
+                            totals[a:] = tail
+                            cost = tail[-1]
+                            margin = _REJECT_MARGIN * cost
+                            accepted_at.append(first + j)
+                            costs.append(cost)
+                quiet = stop - 1 - last
+                i = stop
+            first += k
+            del pairs_a, pairs_b  # before the next chunk is drawn
 
     trace = np.repeat(costs, np.diff([*accepted_at, config.iterations]))
     trace.setflags(write=False)
@@ -238,4 +331,3 @@ def rls_optimize(
         initial_tour=initial,
         initial_cost=initial_cost,
     )
-

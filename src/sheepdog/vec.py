@@ -19,12 +19,18 @@ def as_point(value) -> np.ndarray:
     return pt
 
 
-def distances(pos: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Distance of every row of pos, shape (N, 2), to each point of points,
-    shape (..., 2, 1): shape (..., N).
+def offsets(pos: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Differences of every row of pos, shape (N, 2), from each point of
+    points, shape (..., 2, 1), as shape (..., 2, N), and their distances,
+    shape (..., N).
 
     The differences come out in one C-ordered array, so np.hypot reads a
     contiguous row per axis and point.
     """
     diff = np.subtract(pos.T, points, order="C")
-    return np.hypot(diff[..., 0, :], diff[..., 1, :])
+    return diff, np.hypot(diff[..., 0, :], diff[..., 1, :])
+
+
+def distances(pos: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The distances of offsets(pos, points)."""
+    return offsets(pos, points)[1]

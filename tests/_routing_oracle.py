@@ -44,7 +44,7 @@ def tour_cost(tour: Tour, instance: TourInstance) -> float:
     """Length of the open path dog -> sheep in tour order -> goal."""
     if tour.n != instance.n:
         raise ValueError(f"tour over {tour.n} sheep does not match instance of {instance.n}")
-    return _path_cost(_distance_table(instance), tour.order)
+    return _path_cost(_distance_table(instance).tolist(), tour.order)
 
 
 def _draw_positions(rng: np.random.Generator, n: int) -> tuple[int, int]:
@@ -70,7 +70,7 @@ def brute_force_tour(instance: TourInstance) -> tuple[Tour, float]:
     """Exact optimum by enumeration; ties go to the lexicographically smallest order."""
     if instance.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force supports at most {BRUTE_FORCE_LIMIT} sheep, got {instance.n}")
-    table = _distance_table(instance)
+    table = _distance_table(instance).tolist()
     best_order: tuple[int, ...] | None = None
     best_cost = np.inf
     for order in itertools.permutations(range(instance.n)):

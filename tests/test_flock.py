@@ -19,6 +19,7 @@ from sheepdog.flock import (
 from sheepdog.guidance import run_fat
 from sheepdog.placement import prepare_start_state
 from sheepdog.scenario import ScenarioConfig
+from sheepdog.vec import offsets
 
 DEFAULTS = SheepParams()
 
@@ -169,6 +170,24 @@ def test_flock_velocities_are_bitwise_the_dense_oracle(flock_and_params):
                 assert velocities.tobytes() == dense_flock_velocities(layout, params).tobytes()
 
 
+@settings(max_examples=50, deadline=None)
+@given(flocks(), _point)
+def test_flight_term_from_the_episode_offsets_is_bitwise_the_same(flock_and_params, goal):
+    # The episode loop hands the kernel its own sheep - dog differences and
+    # distances, taken together with the goal's; the kernel must not write to them.
+    state, params = flock_and_params
+    points = np.empty((2, 2, 1))
+    points[:, :, 0] = state.dog_pos, goal
+    away, dists = offsets(state.sheep_pos, points)
+    before = away.tobytes(), dists.tobytes()
+    for list_min_n in BOTH_PAIR_SEARCHES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flock, "_LIST_MIN_N", list_min_n)
+            given_offsets = flock_velocities(state, params, None, (away[0], dists[0]))
+            assert given_offsets.tobytes() == flock_velocities(state, params).tobytes()
+    assert (away.tobytes(), dists.tobytes()) == before
+
+
 def test_kernel_constants_stay_with_their_params_and_flock_size():
     # The gain column is built per SheepParams and the pair tables per
     # flock size; alternating both must never carry one call's into the next.
@@ -217,7 +236,7 @@ def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):
 
     listed = episodes()
 
-    def dense(state, params, near=None):
+    def dense(state, params, near=None, from_dog=None):
         return dense_flock_velocities(state, params)
 
     monkeypatch.setattr(flock, "flock_velocities", dense)

@@ -1,11 +1,14 @@
 """Tour costs, the three mutation operators, local search, and the exact oracle."""
 import itertools
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _routing_oracle import BRUTE_FORCE_LIMIT, _path_cost, brute_force_tour, mutate, tour_cost
+from sheepdog import routing
 from sheepdog.routing import (
     _KERNELS,
     _distance_table,
@@ -217,7 +220,7 @@ def _reference_rls(instance, config, initial=None):
     rng = np.random.default_rng(config.seed)
     if initial is None:
         initial = random_tour(instance.n, rng)
-    table = _distance_table(instance)
+    table = _distance_table(instance).tolist()
     tour = initial
     cost = _path_cost(table, tour.order)
     initial_cost = cost
@@ -255,6 +258,16 @@ def test_rls_matches_full_resum_oracle(strategy, n):
         assert_matches_reference(box_instance(rng, n), RlsConfig(strategy, iterations, seed=3))
 
 
+def lattice_points(lattice, scale):
+    """Lattice points scaled by scale / 2, and whether two lie more than
+    the largest float apart, which the search rejects."""
+    pts = np.array(lattice, dtype=float) * (scale / 2)
+    pairs = itertools.combinations(pts.tolist(), 2)
+    with np.errstate(over="ignore"):
+        far_apart = any(np.isinf(np.hypot(px - qx, py - qy)) for (px, py), (qx, qy) in pairs)
+    return pts, far_apart
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 10).flatmap(
@@ -268,12 +281,9 @@ def test_rls_matches_full_resum_oracle(strategy, n):
 def test_rls_matches_full_resum_oracle_on_generated_instances(lattice, scale, strategy, iterations, seed):
     # Lattice points tie often. Near the largest float the path sums
     # overflow to inf, and two points may lie more than it apart.
-    pts = np.array(lattice, dtype=float) * (scale / 2)
+    pts, far_apart = lattice_points(lattice, scale)
     instance = TourInstance(pts[0], pts[1:-1], pts[-1])
     config = RlsConfig(strategy, iterations, seed)
-    pairs = itertools.combinations(pts.tolist(), 2)
-    with np.errstate(over="ignore"):
-        far_apart = any(np.isinf(np.hypot(px - qx, py - qy)) for (px, py), (qx, qy) in pairs)
     if far_apart:
         with pytest.raises(ValueError, match="tour instance distances must be finite"):
             rls_optimize(instance, config)
@@ -292,15 +302,86 @@ def test_rls_matches_full_resum_oracle_from_given_tour(strategy):
         assert_matches_reference(inst, RlsConfig(strategy, iterations=3000, seed=9), initial=initial)
 
 
+# Threshold patches: 0 scores every candidate past a hit in windows, 10**9
+# scores every candidate one at a time.
+ALWAYS_WINDOWS, NEVER_WINDOWS = 0, 10**9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 10).flatmap(
+        lambda n: st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=n + 2, max_size=n + 2)
+    ),
+    st.floats(1.0, 1e308),
+    st.sampled_from(STRATEGIES),
+    st.integers(500, 3000),
+    st.integers(0, 2**32),
+)
+def test_windowed_and_scalar_scans_match_full_resum_oracle(lattice, scale, strategy, iterations, seed):
+    # Long runs reach the stretches where every candidate is rejected.
+    pts, far_apart = lattice_points(lattice, scale)
+    if far_apart:
+        return
+    instance = TourInstance(pts[0], pts[1:-1], pts[-1])
+    config = RlsConfig(strategy, iterations, seed)
+    tour, cost, trace, initial, initial_cost = _reference_rls(instance, config)
+    for after in (ALWAYS_WINDOWS, NEVER_WINDOWS):
+        with mock.patch.object(routing, "_WINDOW_AFTER", after):
+            res = rls_optimize(instance, config)
+        assert res.initial_tour.order == initial.order
+        assert res.initial_cost == initial_cost
+        assert res.best_tour.order == tour.order
+        assert res.best_cost == cost
+        assert res.cost_trace.tobytes() == trace.tobytes()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_windows_over_two_clusters_a_largest_float_apart(strategy):
+    # Every leg between the clusters is 1.6e308, so a path that crosses
+    # twice costs inf and a move's cost change can be inf - inf.
+    left, right = -8e307, 8e307
+    instance = TourInstance([left, 0.0], [[left, 1.0], [right, 2.0], [left, 3.0], [right, -1.0], [left, -2.0],
+                                          [right, 4.0]], [right, 0.0])
+    config = RlsConfig(strategy, 2000, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(routing, "_WINDOW_AFTER", ALWAYS_WINDOWS):
+            res = rls_optimize(instance, config)
+    assert res.initial_cost == np.inf
+    assert res.best_cost == 1.6e308
+    tour, cost, trace, _, _ = _reference_rls(instance, config)
+    assert (res.best_tour.order, res.best_cost) == (tour.order, cost)
+    assert res.cost_trace.tobytes() == trace.tobytes()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_window_deltas_are_bitwise_the_scalar_deltas(strategy):
+    # Every pair a < b of a path, adjacent ones included, at scales where
+    # the sums stay finite and where they overflow.
+    _, delta, deltas = _KERNELS[strategy]
+    rng = np.random.default_rng(89)
+    for scale in (1.0, 1e306):
+        for n in (2, 3, 7, 12):
+            inst = lattice_instance(rng, n)
+            inst = TourInstance(inst.dog_start * scale, inst.sheep_start * scale, inst.goal * scale)
+            table = _distance_table(inst)
+            path = [0, *(int(i) + 1 for i in rng.permutation(n)), n + 1]
+            a, b = np.triu_indices(n, 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                window = deltas(table.ravel(), np.array(path), a, b)
+            scalar = [delta(table.tolist(), path, i, j) for i, j in zip(a.tolist(), b.tolist())]
+            assert window.tobytes() == np.array(scalar).tobytes()
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_cost_change_equals_full_path_difference(strategy):
-    move, delta = _KERNELS[strategy]
+    move, delta, _ = _KERNELS[strategy]
     rng = np.random.default_rng(83)
     for _ in range(500):
         n = int(rng.integers(2, 30))
         make = box_instance if rng.random() < 0.5 else lattice_instance
         inst = make(rng, n)
-        table = _distance_table(inst)
+        table = _distance_table(inst).tolist()
         order = random_tour(n, rng).order
         a, b = sorted(int(i) for i in rng.choice(n, size=2, replace=False))
         path = [0, *(i + 1 for i in order), n + 1]

@@ -161,42 +161,21 @@ def summarize(records: list[TrialRecord]) -> list[BatchSummary]:
     return summaries
 
 
+def _csv(header: str, rows) -> str:
+    """A header line, then one line of comma-joined cells per row."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
 def records_csv(records: list[TrialRecord]) -> str:
     """Per-trial table; tour cost fields are empty for the baseline."""
-    lines = ["N,rho,trial,method,success,k_end,J,tour_cost_initial,tour_cost_final"]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    str(r.n),
-                    fmt(r.rho),
-                    str(r.trial),
-                    r.method,
-                    str(int(r.success)),
-                    str(r.k_end),
-                    fmt(r.total_distance),
-                    "" if r.tour_cost_initial is None else fmt(r.tour_cost_initial),
-                    "" if r.tour_cost_final is None else fmt(r.tour_cost_final),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("N,rho,trial,method,success,k_end,J,tour_cost_initial,tour_cost_final", (
+        (str(r.n), fmt(r.rho), str(r.trial), r.method, str(int(r.success)), str(r.k_end), fmt(r.total_distance),
+         *("" if c is None else fmt(c) for c in (r.tour_cost_initial, r.tour_cost_final)))
+        for r in records))
 
 
 def summary_csv(summaries: list[BatchSummary]) -> str:
-    lines = ["N,rho,method,trials,success_rate,mean_J_successes,mean_J_all"]
-    for s in summaries:
-        lines.append(
-            ",".join(
-                (
-                    str(s.n),
-                    fmt(s.rho),
-                    s.method,
-                    str(s.trials),
-                    fmt(s.success_rate),
-                    fmt(s.mean_distance_successes),
-                    fmt(s.mean_distance_all),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("N,rho,method,trials,success_rate,mean_J_successes,mean_J_all", (
+        (str(s.n), fmt(s.rho), s.method, str(s.trials),
+         *map(fmt, (s.success_rate, s.mean_distance_successes, s.mean_distance_all)))
+        for s in summaries))

@@ -3,34 +3,36 @@
 The cost of a visiting order is the length of the open path that starts
 at the dog, passes every sheep in order, and ends at the goal. Orders
 are improved by randomized local search: propose one mutation per
-iteration and keep it whenever it is not worse. Each mutation changes at
-most four edges, so a candidate whose O(1) change in cost is clearly
-positive is rejected without being built. Any candidate near acceptance
-is built and its path re-summed from its first changed edge on, starting
-from the current path's running total there: the edges before it are the
-same floats added in the same order, so results are bit-identical to
-re-summing every candidate's full path. That holds on every instance the
-search accepts; it rejects two points more than the largest float apart,
-whose O(1) change would be inf - inf.
+iteration and keep it whenever it is not worse. The search keeps the
+path, its edges (edges[k] is the table entry from path[k] to path[k + 1])
+and their running totals, and moves the path in place on acceptance. A
+mutation changes at most four edges, so a candidate whose O(1) change in
+cost is clearly positive is rejected without being built. A candidate
+near acceptance gets only its changed edges, and its path is re-summed
+from the first of them on, from the current running total there. Each
+edge is the float the table holds, a reversal's interior read backwards
+because the table is exactly symmetric, and each sum adds the same floats
+in the same order, one at a time (never with sum(), which compensates its
+rounding from Python 3.12 on). So results are bit-identical to re-summing
+every candidate's full path. That holds on every instance the search
+accepts; it rejects two points more than the largest float apart, whose
+O(1) change would be inf - inf.
 
 Once the search has settled, nearly every candidate is rejected on its
 O(1) change. After _WINDOW_AFTER candidates in a row score above the
 margin, the pairs already drawn are scored a window at a time: one numpy
-pass takes every pair's change against the unchanged path, adding and
-subtracting the same table floats in the same order as the scalar
-change, so each score is the same float, overflow to inf or nan
-included. The first pair that scores at or under the margin goes back to
-the scalar scan, which scores it again, builds it and tests it as before;
-every pair ahead of it would have been rejected on the same score. The
-draws, the margin and the acceptance test do not change, so neither do
-the tours, the costs or the trace. A search that still accepts often
-stays scalar: there a window would mostly score pairs past its hit.
+pass takes every pair's change against the unchanged path from the same
+table floats in the same order as the scalar change, so each score is the
+same float, overflow to inf or nan included. The first pair that scores
+at or under the margin goes back to the scalar scan, which scores it
+again and tests it as before; every pair ahead of it would have been
+rejected on the same score. The draws, the margin and the acceptance test
+do not change, so neither do the tours, the costs or the trace.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import getitem
 
 import numpy as np
 
@@ -116,51 +118,58 @@ def _distance_table(instance: TourInstance) -> np.ndarray:
     return table
 
 
-def _running_costs(table: list[list[float]], path: tuple[int, ...], start: int, total: float) -> list[float]:
-    """Running totals of the path's edge lengths from node path[start] on.
+# Cost changes of the moves at order positions a < b. path holds table
+# nodes: the dog, the sheep in visiting order, the goal; so order position
+# i is path[i + 1]. edges[k] is the table entry from path[k] to path[k + 1],
+# so each edge a move removes is read from edges, the same float the table
+# holds. Only the edges a move replaces enter the sum. A node's new edges
+# are read from its own row, t[x][u] for t[u][x]: the same float, because
+# the table is exactly symmetric.
 
-    Entry m is total plus the edges up to node path[start + m], added one
-    at a time in path order, so a list begun at the dog with total 0.0
-    holds the cost of every prefix and ends with the full path cost.
-    """
-    edges = map(getitem, map(table.__getitem__, path[start:-1]), path[start + 1 :])
-    return list(accumulate(edges, initial=total))
+def _reverse_delta(t: list[list[float]], path: list[int], edges: list[float], a: int, b: int) -> float:
+    return t[path[a]][path[b + 1]] + t[path[a + 1]][path[b + 2]] - edges[a] - edges[b + 1]
 
-
-def reverse_segment(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """Reverse the inclusive slice [a, b]."""
-    return order[:a] + order[a : b + 1][::-1] + order[b + 1 :]
-
-def exchange_positions(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """Swap the elements at positions a and b."""
-    lst = list(order)
-    lst[a], lst[b] = lst[b], lst[a]
-    return tuple(lst)
-
-def jump_insert(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    """Remove the element at position a and re-insert it at position b."""
-    lst = list(order)
-    lst.insert(b, lst.pop(a))
-    return tuple(lst)
-
-
-# Cost changes of the moves at positions a < b. path holds table nodes:
-# the dog, the sheep in visiting order, the goal; so order position i is
-# path[i + 1]. Only the edges a move replaces enter the sum.
-
-def _reverse_delta(t: list[list[float]], path: list[int], a: int, b: int) -> float:
-    p, x, y, q = path[a], path[a + 1], path[b + 1], path[b + 2]
-    return t[p][y] + t[x][q] - t[p][x] - t[y][q]
-
-def _exchange_delta(t: list[list[float]], path: list[int], a: int, b: int) -> float:
+def _exchange_delta(t: list[list[float]], path: list[int], edges: list[float], a: int, b: int) -> float:
     if b == a + 1:  # swapping neighbours reverses a segment of two
-        return _reverse_delta(t, path, a, b)
-    p, x, xn, yp, y, q = path[a], path[a + 1], path[a + 2], path[b], path[b + 1], path[b + 2]
-    return t[p][y] + t[y][xn] + t[yp][x] + t[x][q] - t[p][x] - t[x][xn] - t[yp][y] - t[y][q]
+        return _reverse_delta(t, path, edges, a, b)
+    x, y = t[path[a + 1]], t[path[b + 1]]
+    added = y[path[a]] + y[path[a + 2]] + x[path[b]] + x[path[b + 2]]
+    return added - edges[a] - edges[a + 1] - edges[b] - edges[b + 1]
 
-def _jump_delta(t: list[list[float]], path: list[int], a: int, b: int) -> float:
-    p, x, xn, y, q = path[a], path[a + 1], path[a + 2], path[b + 1], path[b + 2]
-    return t[p][xn] + t[y][x] + t[x][q] - t[p][x] - t[x][xn] - t[y][q]
+def _jump_delta(t: list[list[float]], path: list[int], edges: list[float], a: int, b: int) -> float:
+    x = t[path[a + 1]]
+    return t[path[a]][path[a + 2]] + x[path[b + 1]] + x[path[b + 2]] - edges[a] - edges[a + 1] - edges[b + 1]
+
+
+# The candidate's edges at positions a .. b + 1, the only ones a move
+# changes, read as its cost change reads them. The edges between come
+# from edges: a reversal walks them backwards, the same floats by the
+# table's symmetry; a jump shifts them down by one.
+
+def _reverse_edges(t: list[list[float]], path: list[int], edges: list[float], a: int, b: int) -> list[float]:
+    return [t[path[a]][path[b + 1]], *edges[b:a:-1], t[path[a + 1]][path[b + 2]]]
+
+def _exchange_edges(t: list[list[float]], path: list[int], edges: list[float], a: int, b: int) -> list[float]:
+    if b == a + 1:
+        return _reverse_edges(t, path, edges, a, b)
+    x, y = t[path[a + 1]], t[path[b + 1]]
+    return [y[path[a]], y[path[a + 2]], *edges[a + 2 : b], x[path[b]], x[path[b + 2]]]
+
+def _jump_edges(t: list[list[float]], path: list[int], edges: list[float], a: int, b: int) -> list[float]:
+    x = t[path[a + 1]]
+    return [t[path[a]][path[a + 2]], *edges[a + 2 : b + 1], x[path[b + 1]], x[path[b + 2]]]
+
+
+# The accepted move, applied to path in place.
+
+def _reverse(path: list[int], a: int, b: int) -> None:
+    path[a + 1 : b + 2] = path[b + 1 : a : -1]
+
+def _exchange(path: list[int], a: int, b: int) -> None:
+    path[a + 1], path[b + 1] = path[b + 1], path[a + 1]
+
+def _jump(path: list[int], a: int, b: int) -> None:
+    path.insert(b + 1, path.pop(a + 1))
 
 
 # The same cost changes for arrays of positions a < b against one path:
@@ -191,11 +200,11 @@ def _jump_deltas(t: np.ndarray, path: np.ndarray, a: np.ndarray, b: np.ndarray) 
     return t.take(pm + xn) + t.take(ym + x) + t.take(xm + q) - t.take(pm + x) - t.take(xm + xn) - t.take(ym + q)
 
 
-# strategy -> (move, its cost change, the cost changes of a window of pairs)
+# strategy -> (cost change, changed edges, move in place, a window's cost changes)
 _KERNELS = {
-    "reverse": (reverse_segment, _reverse_delta, _reverse_deltas),
-    "exchange": (exchange_positions, _exchange_delta, _exchange_deltas),
-    "jump": (jump_insert, _jump_delta, _jump_deltas),
+    "reverse": (_reverse_delta, _reverse_edges, _reverse, _reverse_deltas),
+    "exchange": (_exchange_delta, _exchange_edges, _exchange, _exchange_deltas),
+    "jump": (_jump_delta, _jump_edges, _jump, _jump_deltas),
 }
 
 # A candidate is rejected on its O(1) cost change only when that change
@@ -230,7 +239,7 @@ def _drawn_positions(rng: np.random.Generator, n: int, iterations: int):
         yield a, b
 
 
-def _first_hit(deltas, table: np.ndarray, path: tuple[int, ...], a: np.ndarray, b: np.ndarray,
+def _first_hit(deltas, table: np.ndarray, path: list[int], a: np.ndarray, b: np.ndarray,
                start: int, margin: float) -> int:
     """The first index from start on whose pair a[i], b[i] changes the
     cost of path by at most margin, or len(a) if none does."""
@@ -253,11 +262,7 @@ def random_tour(n: int, rng: np.random.Generator) -> Tour:
     return Tour(tuple(int(i) for i in rng.permutation(n)))
 
 
-def rls_optimize(
-    instance: TourInstance,
-    config: RlsConfig,
-    initial: Tour | None = None,
-) -> RlsResult:
+def rls_optimize(instance: TourInstance, config: RlsConfig, initial: Tour | None = None) -> RlsResult:
     """Randomized local search: accept a mutation whenever it is not worse.
 
     Runs exactly config.iterations mutations. When initial is omitted the
@@ -272,12 +277,13 @@ def rls_optimize(
     # Windows read the array; the scalar scan reads the same floats as lists.
     table_array = _distance_table(instance)
     table = table_array.tolist()
-    move, delta, deltas = _KERNELS[config.strategy]
+    delta, new_edges, move, deltas = _KERNELS[config.strategy]
     n = instance.n
-    # Table nodes: the dog, the sheep in visiting order, the goal; so order
-    # position i is path[i + 1], and the moves apply to path at i + 1.
-    path = (0, *(i + 1 for i in initial.order), n + 1)
-    totals = _running_costs(table, path, 0, 0.0)
+    # Table nodes: the dog, the sheep in visiting order, the goal.
+    path = [0, *(i + 1 for i in initial.order), n + 1]
+    edges = [table[u][v] for u, v in zip(path, path[1:])]
+    # totals[k] is the cost of the path up to path[k], one edge at a time.
+    totals = list(accumulate(edges, initial=0.0))
     cost = initial_cost = totals[-1]
 
     # The trace is piecewise constant: it changes only where a candidate
@@ -289,8 +295,7 @@ def rls_optimize(
         quiet = 0  # how many of the latest candidates in a row scored above the margin
         first = 0  # iteration of the chunk's first pair
         for chunk_a, chunk_b in _drawn_positions(rng, n, config.iterations):
-            pairs_a, pairs_b = chunk_a.tolist(), chunk_b.tolist()
-            i, k = 0, len(pairs_a)
+            i, k = 0, chunk_a.size
             while i < k:
                 if quiet >= _WINDOW_AFTER:
                     hit = _first_hit(deltas, table_array, path, chunk_a, chunk_b, i, margin)
@@ -303,15 +308,16 @@ def rls_optimize(
                     i, quiet = hit, -1
                 stop = min(k, i + _WINDOW_AFTER - quiet)
                 last = i - 1 - quiet  # index of the latest hit
-                for j, a, b in zip(range(i, stop), pairs_a[i:stop], pairs_b[i:stop]):
-                    if delta(table, path, a, b) <= margin:
+                for j, a, b in zip(range(i, stop), chunk_a[i:stop].tolist(), chunk_b[i:stop].tolist()):
+                    if delta(table, path, edges, a, b) <= margin:
                         last = j
                         # A move first changes the edge into order position a, so
                         # the candidate's sum goes on from the current total at path[a].
-                        candidate = move(path, a + 1, b + 1)
-                        tail = _running_costs(table, candidate, a, totals[a])
+                        changed = new_edges(table, path, edges, a, b)
+                        tail = list(accumulate(changed + edges[b + 2 :], initial=totals[a]))
                         if tail[-1] <= cost:
-                            path = candidate
+                            move(path, a, b)
+                            edges[a : b + 2] = changed
                             totals[a:] = tail
                             cost = tail[-1]
                             margin = _REJECT_MARGIN * cost
@@ -320,14 +326,8 @@ def rls_optimize(
                 quiet = stop - 1 - last
                 i = stop
             first += k
-            del pairs_a, pairs_b  # before the next chunk is drawn
 
     trace = np.repeat(costs, np.diff([*accepted_at, config.iterations]))
     trace.setflags(write=False)
-    return RlsResult(
-        best_tour=Tour(tuple(node - 1 for node in path[1:-1])),
-        best_cost=cost,
-        cost_trace=trace,
-        initial_tour=initial,
-        initial_cost=initial_cost,
-    )
+    best_tour = Tour(tuple(node - 1 for node in path[1:-1]))
+    return RlsResult(best_tour, cost, trace, initial, initial_cost)

@@ -4,6 +4,8 @@
 `_reference_rls` in `test_routing.py` checks the package's chunked draws
 against an independent stream, and `_path_cost` re-sums a full path
 from the dog, apart from the package's running totals.
+The three tuple moves build each mutated order from scratch, apart from
+the package's in-place moves on its path list.
 `brute_force_tour` is the exact optimum that the search must never beat.
 """
 from __future__ import annotations
@@ -12,18 +14,30 @@ import itertools
 
 import numpy as np
 
-from sheepdog.routing import (
-    STRATEGIES,
-    Tour,
-    TourInstance,
-    _distance_table,
-    exchange_positions,
-    jump_insert,
-    reverse_segment,
-)
+from sheepdog.routing import STRATEGIES, Tour, TourInstance, _distance_table
 
 # Exhaustive search is only sane for small flocks.
 BRUTE_FORCE_LIMIT = 10
+
+
+def reverse_segment(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """Reverse the inclusive slice [a, b]."""
+    return order[:a] + order[a : b + 1][::-1] + order[b + 1 :]
+
+
+def exchange_positions(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """Swap the elements at positions a and b."""
+    lst = list(order)
+    lst[a], lst[b] = lst[b], lst[a]
+    return tuple(lst)
+
+
+def jump_insert(order: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """Remove the element at position a and re-insert it at position b."""
+    lst = list(order)
+    lst.insert(b, lst.pop(a))
+    return tuple(lst)
+
 
 _MOVES = {"reverse": reverse_segment, "exchange": exchange_positions, "jump": jump_insert}
 

@@ -1,4 +1,6 @@
 """End-to-end checks of the command line front end."""
+import contextlib
+import io
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +15,7 @@ from _recorder import run_recorded, trajectory_text
 from sheepdog import cli
 from sheepdog.cli import TRAJECTORY_BLOCK, _TrajectoryRows, run_cli
 from sheepdog.experiments import ALL_METHODS, run_trial
-from sheepdog.scenario import apply_assignments, default_scenario, dump_config, fmt
+from sheepdog.scenario import _CONFIG_KEYS, _PAIR, apply_assignments, default_scenario, dump_config, fmt
 
 TINY = ["--set", "N=3", "--set", "rho=0.01", "--set", "T=5000"]
 
@@ -280,6 +282,40 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
+
+
+# Small runs of each command, and the files a successful one writes.
+GUARDED_COMMANDS = {
+    "plan": (["plan", "--iterations", "30"], {"tour.txt", "cost_trace.csv", "plan_summary.txt"}),
+    "simulate": (["simulate", "--iterations", "30"], {"trajectory.csv", "phases.csv", "run_summary.txt"}),
+    "batch": (["batch", "--grid", "3;0.01", "--trials", "1", "--iterations", "30"], {"trials.csv", "summary.csv"}),
+}
+EDGE_VALUES = ["0", "-0", "5e-324", "1e154", "1e308", "inf", "-inf", "nan"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(GUARDED_COMMANDS)),
+       keys=st.lists(st.sampled_from(sorted(_CONFIG_KEYS)), min_size=1, max_size=3), data=st.data())
+def test_edge_config_values_exit_zero_with_files_or_two_without_out(command, keys, data, tmp_path_factory):
+    # Any config key, a pair's either half included, at a float edge value:
+    # the run writes all its files, or prints one error line and writes nothing.
+    edge = st.sampled_from(EDGE_VALUES)
+    overrides = []
+    for key in keys:
+        value = f"{data.draw(edge)},{data.draw(edge)}" if _CONFIG_KEYS[key][1] is _PAIR else data.draw(edge)
+        overrides += ["--set", f"{key}={value}"]
+    argv, files = GUARDED_COMMANDS[command]
+    out = tmp_path_factory.mktemp("guard") / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli([*argv, "--set", "N=3", "--set", "T=20", *overrides, "--out", str(out)])
+    if code == 0:
+        assert {p.name for p in out.iterdir()} == files
+        assert all(p.stat().st_size for p in out.iterdir())
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert not out.exists()
 
 
 def _undecodable_config(tmp):

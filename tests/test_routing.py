@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _routing_oracle import BRUTE_FORCE_LIMIT, _path_cost, brute_force_tour, mutate, tour_cost
+from _routing_oracle import (
+    _MOVES,
+    BRUTE_FORCE_LIMIT,
+    _path_cost,
+    brute_force_tour,
+    exchange_positions,
+    jump_insert,
+    mutate,
+    reverse_segment,
+    tour_cost,
+)
 from sheepdog import routing
 from sheepdog.routing import (
     _KERNELS,
@@ -16,10 +26,7 @@ from sheepdog.routing import (
     RlsConfig,
     Tour,
     TourInstance,
-    exchange_positions,
-    jump_insert,
     random_tour,
-    reverse_segment,
     rls_optimize,
 )
 
@@ -246,7 +253,7 @@ def assert_matches_reference(instance, config, initial=None):
     assert res.cost_trace.tobytes() == trace.tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 50])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 50, 100])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_rls_matches_full_resum_oracle(strategy, n):
     # 4500 iterations cross the boundary of one chunk of drawn positions.
@@ -354,11 +361,33 @@ def test_windows_over_two_clusters_a_largest_float_apart(strategy):
     assert res.cost_trace.tobytes() == trace.tobytes()
 
 
+def path_edges(table, path):
+    """The table entry from each node of path to the next."""
+    return [table[u][v] for u, v in zip(path, path[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=n + 2, max_size=n + 2)
+    ),
+    st.sampled_from([1.0, 1e3, 1e150, 1e300, 1e306]),
+)
+def test_distance_table_is_exactly_symmetric(points, scale):
+    # A reversal reads each interior edge backwards from edges, so t[v][u]
+    # must be the very float t[u][v]: fl(p - q) is -fl(q - p) and hypot
+    # ignores signs. Points within scale of the origin never lie more than
+    # the largest float apart.
+    pts = np.array(points) * scale
+    table = _distance_table(TourInstance(pts[0], pts[1:-1], pts[-1]))
+    assert table.tobytes() == table.T.tobytes()
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_window_deltas_are_bitwise_the_scalar_deltas(strategy):
     # Every pair a < b of a path, adjacent ones included, at scales where
     # the sums stay finite and where they overflow.
-    _, delta, deltas = _KERNELS[strategy]
+    delta, _, _, deltas = _KERNELS[strategy]
     rng = np.random.default_rng(89)
     for scale in (1.0, 1e306):
         for n in (2, 3, 7, 12):
@@ -366,16 +395,18 @@ def test_window_deltas_are_bitwise_the_scalar_deltas(strategy):
             inst = TourInstance(inst.dog_start * scale, inst.sheep_start * scale, inst.goal * scale)
             table = _distance_table(inst)
             path = [0, *(int(i) + 1 for i in rng.permutation(n)), n + 1]
+            edges = path_edges(table.tolist(), path)
             a, b = np.triu_indices(n, 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 window = deltas(table.ravel(), np.array(path), a, b)
-            scalar = [delta(table.tolist(), path, i, j) for i, j in zip(a.tolist(), b.tolist())]
+            scalar = [delta(table.tolist(), path, edges, i, j) for i, j in zip(a.tolist(), b.tolist())]
             assert window.tobytes() == np.array(scalar).tobytes()
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_cost_change_equals_full_path_difference(strategy):
-    move, delta, _ = _KERNELS[strategy]
+    delta, _, _, _ = _KERNELS[strategy]
+    move = _MOVES[strategy]
     rng = np.random.default_rng(83)
     for _ in range(500):
         n = int(rng.integers(2, 30))
@@ -387,7 +418,30 @@ def test_cost_change_equals_full_path_difference(strategy):
         path = [0, *(i + 1 for i in order), n + 1]
         cost = _path_cost(table, order)
         full = _path_cost(table, move(order, a, b)) - cost
-        assert abs(delta(table, path, a, b) - full) <= 1e-9 * cost
+        assert abs(delta(table, path, path_edges(table, path), a, b) - full) <= 1e-9 * cost
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_changed_edges_and_in_place_move_are_the_tuple_move(strategy):
+    # Every pair a < b, adjacent ones and the whole order included: the
+    # changed edges are bitwise the table entries of the moved path at
+    # a .. b + 1, and the move in place gives the moved path.
+    _, new_edges, move, _ = _KERNELS[strategy]
+    rng = np.random.default_rng(97)
+    for n in (2, 3, 4, 9, 16):
+        for make in (box_instance, lattice_instance):
+            table = _distance_table(make(rng, n)).tolist()
+            order = random_tour(n, rng).order
+            path = [0, *(i + 1 for i in order), n + 1]
+            edges = path_edges(table, path)
+            for a, b in itertools.combinations(range(n), 2):
+                moved = [0, *(i + 1 for i in _MOVES[strategy](order, a, b)), n + 1]
+                changed = new_edges(table, path, edges, a, b)
+                expected = path_edges(table, moved)[a : b + 2]
+                assert np.array(changed).tobytes() == np.array(expected).tobytes()
+                in_place = path.copy()
+                move(in_place, a, b)
+                assert in_place == moved
 
 
 # -------------------------------------------------------------- brute force

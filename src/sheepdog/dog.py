@@ -7,7 +7,7 @@ ends up herding from the far side. The approach law is the same chase
 without the destination term, used to reach the first sheep of a tour.
 Both take every sheep's distance to the dog, and the drive its distance
 to the destination, as rows the episode loop computes once per state;
-the drive's candidates come as an index array checked once per phase.
+the drive's candidates come as the tour prefix, built once per phase.
 
 The laws compute on Python floats and return two of them, which costs
 far less per step than numpy 2-vectors and gives the same bits: a
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -42,18 +41,6 @@ class DogParams:
         for name in ("k_attraction", "k_repulsion", "k_goal_repulsion"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
-
-
-def _check_candidates(candidates: Iterable[int], n: int) -> np.ndarray | None:
-    """Sorted distinct candidate indices checked against the flock size n,
-    or None when every sheep is a candidate, so selection skips the indexing."""
-    # Python's sorted keeps numpy's sort code, about 0.4 MB of resident pages, unloaded.
-    idx = np.asarray(sorted(set(int(c) for c in candidates)), dtype=int)
-    if idx.size == 0:
-        raise ValueError("candidate set must not be empty")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise IndexError(f"candidate index out of range for flock of {n}")
-    return None if idx.size == n else idx
 
 
 def _pick(dist: np.ndarray, idx: np.ndarray | None, farthest: bool) -> int:
@@ -136,8 +123,9 @@ def steering_command(
 ) -> tuple[float, float]:
     """Drive velocity: track the candidate farthest from destination, stand off the one nearest the dog.
 
-    With idx None (every sheep) and the goal as destination this is the
-    classic farthest-agent-tracking drive. to_dog and to_destination hold
+    idx must be sorted and distinct (it is not checked), or None for every
+    sheep; with idx None and the goal as destination this is the classic
+    farthest-agent-tracking drive. to_dog and to_destination hold
     every sheep's distance to the dog and to destination in this state.
     """
     tracked = _pick(to_destination, idx, True)

@@ -7,6 +7,8 @@ stream), which keeps trials independent and reorderable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 from .guidance import RunRecord, run_fat, run_proposed
 from .placement import prepare_start_state
@@ -138,7 +140,8 @@ def summarize(records: list[TrialRecord]) -> list[BatchSummary]:
 
     Failed trials carry their full-horizon travel, so the mean over all
     trials is defined even when some runs time out. The mean over
-    successes is NaN when nothing succeeded.
+    successes is NaN when nothing succeeded. Both means add left to right
+    from 0.0, as the builtin sum() does only before Python 3.12.
     """
     groups: dict[tuple[int, float, str], list[TrialRecord]] = {}
     for rec in records:
@@ -154,8 +157,8 @@ def summarize(records: list[TrialRecord]) -> list[BatchSummary]:
                 trials=len(recs),
                 successes=len(wins),
                 success_rate=len(wins) / len(recs),
-                mean_distance_successes=sum(wins) / len(wins) if wins else float("nan"),
-                mean_distance_all=sum(r.total_distance for r in recs) / len(recs),
+                mean_distance_successes=reduce(add, wins, 0.0) / len(wins) if wins else float("nan"),
+                mean_distance_all=reduce(add, (r.total_distance for r in recs), 0.0) / len(recs),
             )
         )
     return summaries

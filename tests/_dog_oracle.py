@@ -3,10 +3,11 @@
 These are the drive and approach laws written on numpy 2-vectors with
 `safe_unit` and `clamped_norm`; `dog.steering_command`,
 `dog.dog_velocity` and `dog.approach_velocity` must reproduce them bit
-for bit. `distances_to`, `select`, `farthest_from` and `nearest_to_dog`
-are not references: they call the package's own candidate check,
-distances and selection, so tests can pick the sheep that
-`steering_command` steers by and hand the laws their distance rows.
+for bit. `candidate_index`, `distances_to`, `select`, `farthest_from`
+and `nearest_to_dog` are not references: they build the index array
+`steering_command` takes and call the package's own distances and
+selection, so tests can pick the sheep that `steering_command` steers
+by and hand the laws their distance rows.
 """
 from __future__ import annotations
 
@@ -14,9 +15,16 @@ from typing import Iterable
 
 import numpy as np
 
-from sheepdog.dog import DogParams, _check_candidates, _pick
+from sheepdog.dog import DogParams, _pick
 from sheepdog.flock import FlockState
 from sheepdog.vec import EPS, UNIT_X, distances
+
+
+def candidate_index(candidates: Iterable[int], n: int) -> np.ndarray | None:
+    """Sorted distinct indices as `steering_command` takes them, or None
+    when they are every one of the n sheep. Nothing is range-checked."""
+    idx = np.array(sorted(set(int(c) for c in candidates)), dtype=int)
+    return None if idx.tolist() == list(range(n)) else idx
 
 
 def distances_to(state: FlockState, point) -> np.ndarray:
@@ -31,12 +39,12 @@ def select(state: FlockState, idx: np.ndarray | None, point, farthest: bool) -> 
 
 def farthest_from(point: np.ndarray, candidates: Iterable[int], state: FlockState) -> int:
     """Candidate sheep farthest from point; ties go to the smallest index."""
-    return select(state, _check_candidates(candidates, state.n), point, True)
+    return select(state, candidate_index(candidates, state.n), point, True)
 
 
 def nearest_to_dog(candidates: Iterable[int], state: FlockState) -> int:
     """Candidate sheep nearest the dog; ties go to the smallest index."""
-    return select(state, _check_candidates(candidates, state.n), state.dog_pos, False)
+    return select(state, candidate_index(candidates, state.n), state.dog_pos, False)
 
 
 def safe_unit(v: np.ndarray) -> np.ndarray:

@@ -230,6 +230,21 @@ def test_batch_tables(tmp_path):
     assert len(summary) == 1 + 2
 
 
+def test_batch_writes_fat_rows_first_whatever_the_methods_order(tmp_path):
+    runs = {}
+    for methods in ("proposed:jump,fat", "fat,proposed:jump"):
+        out = tmp_path / methods.replace(":", "_").replace(",", "-")
+        assert run_cli(["batch", "--out", str(out), "--grid", "3;0.01", "--set", "T=5000", "--trials", "2",
+                        "--methods", methods, "--iterations", "50"]) == 0
+        runs[methods] = [(out / name).read_bytes() for name in ("trials.csv", "summary.csv")]
+        trials = [row.split(",") for row in runs[methods][0].decode().splitlines()[1:]]
+        assert [(r[2], r[3]) for r in trials] == [
+            ("0", "fat"), ("0", "proposed:jump"), ("1", "fat"), ("1", "proposed:jump")]
+        summary = [row.split(",")[2] for row in runs[methods][1].decode().splitlines()[1:]]
+        assert summary == ["fat", "proposed:jump"]
+    assert runs["proposed:jump,fat"] == runs["fat,proposed:jump"]
+
+
 # ---------------------------------------------------------------- error paths
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import _dog_oracle as oracle
 from _dog_oracle import farthest_from, nearest_to_dog
-from sheepdog import dog
 from sheepdog.dog import DogParams, approach_velocity, dog_velocity, steering_command
 from sheepdog.flock import FlockState
 
@@ -149,7 +148,7 @@ def test_steering_command_composes_selection_and_velocity():
     state = make_state(rng.uniform(-80, 80, (6, 2)), rng.uniform(-80, 80, 2))
     goal = np.zeros(2)
     rows = to_dog(state), oracle.distances_to(state, goal)
-    v = steering_command(state, DEFAULTS, dog._check_candidates(set(range(6)), 6), goal, *rows)
+    v = steering_command(state, DEFAULTS, None, goal, *rows)
     tracked = farthest_from(goal, set(range(6)), state)
     nearest = nearest_to_dog(set(range(6)), state)
     # The set of all sheep skips the indexing; an explicit index array
@@ -159,12 +158,8 @@ def test_steering_command_composes_selection_and_velocity():
     assert oracle.select(state, idx, state.dog_pos.tolist(), False) == nearest
     expected = dog_velocity(state, DEFAULTS, tracked, nearest, goal)
     assert np.array(v).tobytes() == np.array(expected).tobytes()
-    # Index arrays, sorted or not, select the same sheep as the set.
-    for cand in (np.arange(6), np.array([5, 3, 3, 0, 1, 2, 4])):
-        checked = dog._check_candidates(cand, 6)
-        assert np.array(steering_command(state, DEFAULTS, checked, goal, *rows)).tobytes() == np.array(v).tobytes()
-    with pytest.raises(IndexError):
-        dog._check_candidates(np.arange(7), 6)
+    # The explicit array of every index steers as None does.
+    assert np.array(steering_command(state, DEFAULTS, idx, goal, *rows)).tobytes() == np.array(v).tobytes()
 
 
 # ------------------------------------------------- float laws = vector oracle
@@ -200,7 +195,7 @@ def test_steering_laws_are_bitwise_the_vector_oracle(case):
     state, params, candidates, destination, tracked, nearest = case
     idx = np.array(sorted(set(candidates)))
     v_ref, tracked_ref, nearest_ref = oracle.steering(state, params, idx, destination)
-    checked = dog._check_candidates(candidates, state.n)
+    checked = oracle.candidate_index(candidates, state.n)
     assert oracle.select(state, checked, destination.tolist(), True) == tracked_ref
     assert oracle.select(state, checked, state.dog_pos.tolist(), False) == nearest_ref
     rows = to_dog(state), oracle.distances_to(state, destination)

@@ -1,6 +1,8 @@
 """Paired trials, grid batches, and the CSV tables built from them."""
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +203,32 @@ def test_summary_mean_over_successes_is_nan_when_none_succeed():
     assert s.success_rate == 0.0
     assert math.isnan(s.mean_distance_successes)
     assert s.mean_distance_all == pytest.approx(250.0)
+
+
+def test_summary_means_add_left_to_right_from_zero():
+    # 1e16 + 1.0 rounds back to 1e16, so adding left to right loses both
+    # ones, while compensated summation (the builtin sum() from Python 3.12
+    # on) keeps them; the two means differ in their bits.
+    js = [1e16, 1.0, 1.0]
+    recs = [TrialRecord(n=5, rho=0.001, trial=t, method="fat", success=True, k_end=10, total_distance=j,
+                        tour_cost_initial=None, tour_cost_final=None) for t, j in enumerate(js)]
+    (s,) = summarize(recs)
+    left_to_right = ((0.0 + js[0]) + js[1]) + js[2]
+    assert left_to_right / 3 != math.fsum(js) / 3
+    assert s.mean_distance_successes == s.mean_distance_all == left_to_right / 3
+
+
+def test_no_module_calls_the_builtin_sum():
+    # The package adds floats left to right, so that its bits do not depend
+    # on the interpreter; sum() compensates its rounding from Python 3.12 on.
+    modules = sorted(Path(experiments.__file__).parent.glob("*.py"))
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert len(modules) > 1 and calls == []
 
 
 # ------------------------------------------------------------------ CSV tables

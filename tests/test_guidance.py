@@ -10,7 +10,7 @@ import _dog_oracle as dog_oracle
 from _dog_oracle import farthest_from, nearest_to_dog
 from _flock_oracle import dense_flock_velocities
 from _recorder import Recorder, has_placeholder_traces, run_recorded
-from sheepdog import dog, flock, guidance
+from sheepdog import flock, guidance
 from sheepdog.dog import dog_velocity
 from sheepdog.flock import FlockState, flock_velocities
 from sheepdog.guidance import (
@@ -233,15 +233,17 @@ def test_phase_modes_only_move_forward(small_cell_run):
 
 
 def test_collected_grows_in_tour_order(small_cell_run):
+    # The collected sheep are the tour prefix order[: nu - 1]: each phase
+    # change collects the next sheep on the tour, and the drive starts once
+    # nu - 1 is every sheep. The terminal entry keeps the drive's nu.
     _, tour, rec, _ = small_cell_run
-    previous = ()
-    for _, phase in rec.phases:
-        assert phase.collected[: len(previous)] == previous
-        assert len(phase.collected) >= len(previous)
-        previous = phase.collected
-    assert previous == tour.order  # every sheep collected, in visiting order
-    nus = [p.nu for _, p in rec.phases]
-    assert nus == sorted(nus)
+    n = tour.n
+    assert [(p.mode, p.nu) for _, p in rec.phases] == [
+        (GuidanceMode.APPROACH_FIRST, 1),
+        *[(GuidanceMode.PROVISIONAL_GATHER, nu) for nu in range(2, n + 1)],
+        (GuidanceMode.FINAL_DRIVE, n + 1),
+        (GuidanceMode.DONE, n + 1),
+    ]
 
 
 def test_every_sheep_ends_inside_goal(small_cell_run):
@@ -294,27 +296,31 @@ def test_unrecorded_failed_fat_run_keeps_everything_but_the_traces():
     _assert_same_run_without_traces(run_fat(cfg, initial_state=start), rec, rows)
 
 
-def test_candidates_are_checked_once_per_phase_not_per_step(small_cell_run, monkeypatch):
-    # The candidate set changes only when a sheep is collected, so it is
-    # checked as each phase begins: once per collection in a tour episode
-    # and once in a whole baseline episode, never on a step.
+def test_candidates_are_built_once_per_phase_not_per_step(small_cell_run, monkeypatch):
+    # The candidate set changes only when a sheep is collected, so each
+    # gather phase builds its sorted tour prefix once and hands the same
+    # array to every one of its steps; the drive hands None (every sheep),
+    # in a tour episode and in a whole baseline episode.
     cfg, tour, rec, _ = small_cell_run
-    check, calls = dog._check_candidates, []
+    steer, calls = guidance.steering_command, []
 
-    def counted(candidates, n):
-        calls.append(1)
-        return check(candidates, n)
+    def recorded(state, params, idx, *rows):
+        calls.append(idx)
+        return steer(state, params, idx, *rows)
 
-    monkeypatch.setattr(dog, "_check_candidates", counted)
-    monkeypatch.setattr(guidance, "_check_candidates", counted)
+    monkeypatch.setattr(guidance, "steering_command", recorded)
     start = prepare_start_state(cfg, base_seed=0, trial=0)
     again = run_proposed(cfg, tour, initial_state=start)
     assert (again.success, again.k_end, again.total_distance) == (True, rec.k_end, rec.total_distance)
-    assert len(calls) == cfg.n_sheep
+    built = list({id(idx): idx for idx in calls}.values())
+    assert len(calls) > len(built)
+    assert [None if idx is None else idx.tolist() for idx in built] == [
+        sorted(tour.order[:nu - 1]) for nu in range(2, cfg.n_sheep + 1)
+    ] + [None]
     calls.clear()
     fat_cfg = ScenarioConfig(n_sheep=20, rho=0.0012, horizon=300)
     fat = run_fat(fat_cfg, initial_state=prepare_start_state(fat_cfg, base_seed=0, trial=0))
-    assert fat.k_end == 300 and len(calls) == 1
+    assert fat.k_end == 300 and len(calls) == 300 and all(idx is None for idx in calls)
 
 
 def test_unrecorded_episode_peak_memory_stays_flat():
@@ -391,8 +397,10 @@ def _manual_proposed(cfg, order, state):
                 collect(target)
                 if mode is GuidanceMode.PROVISIONAL_GATHER:
                     retargets.append(k)
-        if not phases or phases[-1][1:] != (mode, nu, collected):
-            phases.append((k, mode, nu, collected))
+        if not phases or phases[-1][1:] != (mode, nu):
+            phases.append((k, mode, nu))
+            # The collected sheep are the tour prefix the controller reads from nu.
+            assert collected == order[: nu - 1]
 
         if mode is GuidanceMode.APPROACH_FIRST:
             v_dog = dog_oracle.approach_velocity(state, cfg.dog, state.sheep_pos[order[0]])
@@ -426,14 +434,14 @@ def test_proposed_trace_matches_manual_stepping():
 
     success, total, dog_trace, sheep_traces, phases, retargets = _manual_proposed(cfg, tour.order, start)
     assert success and len(retargets) == 6
-    assert [mode for _, mode, _, _ in phases] == [
+    assert [mode for _, mode, _ in phases] == [
         GuidanceMode.APPROACH_FIRST, *[GuidanceMode.PROVISIONAL_GATHER] * 7, GuidanceMode.FINAL_DRIVE
     ]
     assert (rec.success, rec.k_end) == (success, dog_trace.shape[0] - 1)
     assert rows.dog_trace.tobytes() == dog_trace.tobytes()
     assert rows.sheep_traces.tobytes() == sheep_traces.tobytes()
     assert rec.total_distance == total
-    assert [(k, p.mode, p.nu, p.collected) for k, p in rec.phases[:-1]] == phases
+    assert [(k, p.mode, p.nu) for k, p in rec.phases[:-1]] == phases
     assert (rec.phases[-1][0], rec.phases[-1][1].mode) == (rec.k_end, GuidanceMode.DONE)
 
 

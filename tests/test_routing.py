@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from _routing_oracle import (
     _MOVES,
@@ -275,7 +275,11 @@ def lattice_points(lattice, scale):
     return pts, far_apart
 
 
-@settings(max_examples=300, deadline=None)
+# No shrinking: a broken kernel fails on its first failing example in seconds, not minutes.
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+
+@settings(max_examples=300, deadline=None, phases=NO_SHRINK)
 @given(
     st.integers(1, 10).flatmap(
         lambda n: st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=n + 2, max_size=n + 2)
@@ -314,7 +318,7 @@ def test_rls_matches_full_resum_oracle_from_given_tour(strategy):
 ALWAYS_WINDOWS, NEVER_WINDOWS = 0, 10**9
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK)
 @given(
     st.integers(2, 10).flatmap(
         lambda n: st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=n + 2, max_size=n + 2)

@@ -23,7 +23,8 @@ from .experiments import (
 from .guidance import RunRecord
 from .placement import prepare_start_state
 from .routing import STRATEGIES, RlsConfig, RlsResult, TourInstance, rls_optimize
-from .scenario import NUMBER, ScenarioConfig, apply_assignments, default_scenario, fmt, parse_config, stream_seed
+from .scenario import (NUMBER, ScenarioConfig, apply_assignments, default_scenario, fmt, parse_config, rho_key,
+                       stream_seed)
 
 
 def _check_numbers(args: argparse.Namespace) -> None:
@@ -152,6 +153,8 @@ def _cmd_batch(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str]:
             replace(cfg, n_sheep=n, rho=rho)
         except ValueError as exc:
             raise ValueError(f"bad grid cell N={n}, rho={rho}: {exc}") from exc
+    if len({(n, rho_key(rho)) for n, rho in grid}) < len(grid):  # after the cell checks: round(inf) raises
+        raise ValueError(f"bad grid {args.grid!r}: two rhos share a seed stream, as rho * 1e10 rounds alike")
     records, summaries = run_batch(
         cfg,
         grid,

@@ -78,16 +78,13 @@ class SheepParams:
 
 @dataclass(frozen=True, eq=False)
 class FlockState:
-    """Snapshot of one step: sheep positions, their previous velocities, dog position."""
+    """Snapshot of the flock: sheep positions, their previous velocities, dog position."""
 
-    step: int
     sheep_pos: np.ndarray
     sheep_vel_prev: np.ndarray
     dog_pos: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.step < 0:
-            raise ValueError("step must be non-negative")
         pos = np.array(self.sheep_pos, dtype=float)
         vel = np.array(self.sheep_vel_prev, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
@@ -104,14 +101,14 @@ class FlockState:
         self.dog_pos.setflags(write=False)
 
     @classmethod
-    def _unchecked(cls, step: int, sheep_pos: np.ndarray, sheep_vel_prev: np.ndarray, dog_pos: np.ndarray) -> FlockState:
+    def _unchecked(cls, sheep_pos: np.ndarray, sheep_vel_prev: np.ndarray, dog_pos: np.ndarray) -> FlockState:
         """Snapshot without the copies and checks, for the episode loop.
 
         The caller passes fresh float arrays of matching shape that nobody
         writes to, and checks finiteness itself when the episode ends.
         """
         state = object.__new__(cls)
-        vars(state).update(step=step, sheep_pos=sheep_pos, sheep_vel_prev=sheep_vel_prev, dog_pos=dog_pos)
+        vars(state).update(sheep_pos=sheep_pos, sheep_vel_prev=sheep_vel_prev, dog_pos=dog_pos)
         return state
 
     @property
@@ -290,4 +287,4 @@ def step_flock(state: FlockState, params: SheepParams, near: NeighbourList | Non
     of a run, as placement.warmup does.
     """
     v = flock_velocities(state, params, near)
-    return _snapshot(state.step + 1, state.sheep_pos + v, v, state.dog_pos)
+    return _snapshot(state.sheep_pos + v, v, state.dog_pos)

@@ -155,7 +155,7 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
     points[:, :, 0] = state.dog_pos, goal.center
     away, dists = offsets(state.sheep_pos, points)
 
-    first_step = state.step
+    k = -1  # the last step taken; the loop may take none
     if sink is not None:
         sink(state)
     phases: list[tuple[int, GuidancePhase]] = []
@@ -173,7 +173,7 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
             v_sheep = flock_velocities(state, scenario.sheep, near, (away[0], dists[0]))
             dog_x += vx
             dog_y += vy
-            state = _snapshot(state.step + 1, state.sheep_pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
+            state = _snapshot(state.sheep_pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
             total += _length(vx, vy)
             if sink is not None:
                 sink(state)
@@ -183,9 +183,9 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
                 success = True
                 break
         # The end state takes the checks that the steps skipped.
-        FlockState(step=state.step, sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)
+        FlockState(sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)
 
-    k_end = state.step - first_step
+    k_end = k + 1
     terminal = replace(controller.phase, mode=GuidanceMode.DONE) if success else controller.phase
     if not phases or terminal is not phases[-1][1]:
         phases.append((k_end, terminal))

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +30,6 @@ def initial_placement(config: ScenarioConfig, rng: np.random.Generator) -> Flock
     theta = 2.0 * np.pi * rng.random(n)
     pos = config.goal.center + np.column_stack((r * np.cos(theta), r * np.sin(theta)))
     return FlockState(
-        step=0,
         sheep_pos=pos,
         sheep_vel_prev=np.zeros((n, 2)),
         dog_pos=config.dog_start,
@@ -51,16 +49,15 @@ def warmup(state: FlockState, params, steps: int) -> FlockState:
     near = NeighbourList()
     for _ in range(steps):
         state = step_flock(state, params, near)
-    return replace(state)
+    return FlockState(sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)
 
 
 def prepare_start_state(config: ScenarioConfig, *, base_seed: int, trial: int = 0) -> FlockState:
-    """Place, warm up, and restart the clock; this state is step 0 of an episode.
+    """Place and warm up; planning and the episode both start from this settled state.
 
     The settled velocities are kept so the first episode step sees the
     same headings the warm-up ended with.
     """
     seed = stream_seed(base_seed, config.n_sheep, config.rho, trial, "placement")
     state = initial_placement(config, np.random.default_rng(seed))
-    state = warmup(state, config.sheep, config.warmup_steps)
-    return replace(state, step=0)
+    return warmup(state, config.sheep, config.warmup_steps)

@@ -262,17 +262,14 @@ def random_tour(n: int, rng: np.random.Generator) -> Tour:
     return Tour(tuple(int(i) for i in rng.permutation(n)))
 
 
-def rls_optimize(instance: TourInstance, config: RlsConfig, initial: Tour | None = None) -> RlsResult:
+def rls_optimize(instance: TourInstance, config: RlsConfig) -> RlsResult:
     """Randomized local search: accept a mutation whenever it is not worse.
 
-    Runs exactly config.iterations mutations. When initial is omitted the
-    starting order is drawn uniformly from the seeded stream.
+    Runs exactly config.iterations mutations from a starting order drawn
+    uniformly from the seeded stream.
     """
     rng = np.random.default_rng(config.seed)
-    if initial is None:
-        initial = random_tour(instance.n, rng)
-    elif initial.n != instance.n:
-        raise ValueError(f"initial tour over {initial.n} sheep does not match instance of {instance.n}")
+    initial = random_tour(instance.n, rng)
 
     # Windows read the array; the scalar scan reads the same floats as lists.
     table_array = _distance_table(instance)

@@ -51,7 +51,7 @@ class ScenarioConfig:
             raise ValueError("N must be at least 1")
         if not 0 < self.rho < math.inf:
             raise ValueError("rho must be positive and finite")
-        # stream_seed keys on rho * 1e10; the placement radius is sqrt(N / (pi * rho)).
+        # rho_key takes rho * 1e10; the placement radius is sqrt(N / (pi * rho)).
         if not (math.isfinite(self.rho * 1e10) and math.isfinite(self.n_sheep / (math.pi * self.rho))):
             raise ValueError(f"rho={self.rho!r} is out of range: rho * 1e10 or sqrt(N / (pi * rho)) is not finite")
         (gx, gy), (dx, dy) = self.goal.center.tolist(), self.dog_start.tolist()
@@ -157,6 +157,11 @@ def parse_config(text: str) -> ScenarioConfig:
     return apply_assignments(default_scenario(), pairs)
 
 
+def rho_key(rho: float) -> int:
+    """The integer that stands for rho in every seed stream: rho * 1e10, rounded."""
+    return int(round(rho * 1e10))
+
+
 def stream_seed(base_seed: int, n: int, rho: float, trial: int, stream: str) -> int:
     """Deterministic 64-bit seed for one named stream of one trial.
 
@@ -165,6 +170,6 @@ def stream_seed(base_seed: int, n: int, rho: float, trial: int, stream: str) -> 
     """
     label = zlib.crc32(stream.encode("ascii"))
     ss = np.random.SeedSequence(
-        entropy=[int(base_seed), int(n), int(round(rho * 1e10)), int(trial), label]
+        entropy=[int(base_seed), int(n), rho_key(rho), int(trial), label]
     )
     return int(ss.generate_state(1, np.uint64)[0])

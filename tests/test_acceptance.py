@@ -272,7 +272,6 @@ def test_criterion7_isometries_commute_with_the_dynamics():
     everyone = range(8)
     for _ in range(40):
         state = FlockState(
-            step=0,
             sheep_pos=rng.uniform(-50.0, 50.0, (8, 2)),
             sheep_vel_prev=rng.normal(0.0, 1.0, (8, 2)),
             dog_pos=rng.uniform(-50.0, 50.0, 2),
@@ -283,7 +282,6 @@ def test_criterion7_isometries_commute_with_the_dynamics():
             rot = rot @ np.diag([1.0, -1.0])  # half the draws include a reflection
         shift = rng.uniform(-100.0, 100.0, 2)
         moved = FlockState(
-            step=0,
             sheep_pos=state.sheep_pos @ rot.T + shift,
             sheep_vel_prev=state.sheep_vel_prev @ rot.T,
             dog_pos=state.dog_pos @ rot.T + shift,

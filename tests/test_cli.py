@@ -288,6 +288,7 @@ def test_batch_writes_fat_rows_first_whatever_the_methods_order(tmp_path):
         ["batch", "--set", "x_g=1e308,0", "--set", "x_d0=-1e308,0", "--set", "T=200"],
         # Passes every argument check; the flock turns non-finite during the run.
         ["simulate", "--method", "fat", "--set", "K_s1=1e308", "--set", "rho=1", "--set", "T=50"],
+        ["batch", "--grid", "3;1.00000001e-6,1.00000002e-6", "--methods", "fat", "--trials", "2", "--set", "T=3"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
@@ -348,12 +349,19 @@ def _trajectory_is_a_directory(tmp):
     return ["simulate", "--method", "fat", *TINY, "--set", "T=5", "--out", str(tmp / "out")]
 
 
-@pytest.mark.parametrize("setup", [_undecodable_config, _out_is_a_file, _trajectory_is_a_directory])
+def _cost_trace_is_a_directory(tmp):
+    # A write that fails after tour.txt is written.
+    (tmp / "out" / "cost_trace.csv").mkdir(parents=True)
+    return ["plan", *TINY, "--iterations", "10", "--out", str(tmp / "out")]
+
+
+@pytest.mark.parametrize(
+    "setup", [_undecodable_config, _out_is_a_file, _trajectory_is_a_directory, _cost_trace_is_a_directory])
 def test_io_errors_exit_two(setup, tmp_path, capsys):
     code = run_cli(setup(tmp_path))
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -18,7 +18,6 @@ def to_dog(state):
 def make_state(sheep_pos, dog_pos):
     sheep_pos = np.asarray(sheep_pos, dtype=float)
     return FlockState(
-        step=0,
         sheep_pos=sheep_pos,
         sheep_vel_prev=np.zeros_like(sheep_pos),
         dog_pos=np.asarray(dog_pos, dtype=float),

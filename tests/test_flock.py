@@ -24,12 +24,11 @@ from sheepdog.vec import offsets
 DEFAULTS = SheepParams()
 
 
-def make_state(sheep_pos, dog_pos, vel_prev=None, step=0):
+def make_state(sheep_pos, dog_pos, vel_prev=None):
     sheep_pos = np.asarray(sheep_pos, dtype=float)
     if vel_prev is None:
         vel_prev = np.zeros_like(sheep_pos)
     return FlockState(
-        step=step,
         sheep_pos=sheep_pos,
         sheep_vel_prev=np.asarray(vel_prev, dtype=float),
         dog_pos=np.asarray(dog_pos, dtype=float),
@@ -305,7 +304,7 @@ def _walk_states(r_s, start, steps, dog):
         # Python floats: a jump over 2 r_s = inf is cut to a finite one.
         length = min(float(size) * r_s, 2 * _COORD_LIMIT)
         moved = np.clip(pos + signs * length, -_COORD_LIMIT, _COORD_LIMIT)
-        state = make_state(moved, dog_pos, vel_prev=moved - pos, step=state.step + 1)
+        state = make_state(moved, dog_pos, vel_prev=moved - pos)
         pos = moved
         yield state
 
@@ -334,7 +333,7 @@ def test_a_walk_that_turns_non_finite_matches_the_kernel_without_a_list(monkeypa
 
     def counted(self, pos, r_s):
         if self is near:
-            rebuilt_at.add(state.step)
+            rebuilt_at.add(k)  # the step of the loop below
         build(self, pos, r_s)
 
     monkeypatch.setattr(NeighbourList, "_build", counted)
@@ -344,7 +343,7 @@ def test_a_walk_that_turns_non_finite_matches_the_kernel_without_a_list(monkeypa
         pos = state.sheep_pos + listed
         if k == 5:
             pos[7] = np.nan
-        state = flock._snapshot(state.step + 1, pos, listed, state.dog_pos)
+        state = flock._snapshot(pos, listed, state.dog_pos)
     assert np.isnan(state.sheep_pos[7]).all()
     assert rebuilt_at >= set(range(6, 12))
 
@@ -354,7 +353,6 @@ def test_a_walk_that_turns_non_finite_matches_the_kernel_without_a_list(monkeypa
 def test_step_applies_velocity_to_positions():
     state = make_state([[0.0, 0.0]], [0.0, 10.0])
     nxt = step_flock(state, DEFAULTS)
-    assert nxt.step == 1
     assert np.allclose(nxt.sheep_pos[0], [0.0, -5.0], atol=1e-12)
     assert np.allclose(nxt.sheep_vel_prev[0], [0.0, -5.0], atol=1e-12)
     assert np.array_equal(nxt.dog_pos, state.dog_pos)

@@ -33,10 +33,9 @@ MODE_ORDER = (
 )
 
 
-def make_state(sheep_pos, dog_pos, step=0):
+def make_state(sheep_pos, dog_pos):
     sheep_pos = np.asarray(sheep_pos, dtype=float)
     return FlockState(
-        step=step,
         sheep_pos=sheep_pos,
         sheep_vel_prev=np.zeros_like(sheep_pos),
         dog_pos=np.asarray(dog_pos, dtype=float),
@@ -111,7 +110,7 @@ def test_non_finite_state_mid_episode_raises(monkeypatch, method):
     calls = []
 
     def blows_up_at_step_ten(state, params, near, from_dog):
-        calls.append(state.step)
+        calls.append(state)
         v = flock_velocities(state, params, near, from_dog)
         return np.full_like(v, np.inf) if len(calls) == 10 else v
 
@@ -358,7 +357,6 @@ def test_fat_trace_matches_manual_stepping():
         v_dog = dog_velocity(state, cfg.dog, tracked, nearest, cfg.goal.center)
         v_sheep = flock_velocities(state, cfg.sheep)
         state = FlockState(
-            step=state.step + 1,
             sheep_pos=state.sheep_pos + v_sheep,
             sheep_vel_prev=v_sheep,
             dog_pos=state.dog_pos + v_dog,
@@ -409,7 +407,6 @@ def _manual_proposed(cfg, order, state):
             v_dog, _, _ = dog_oracle.steering(state, cfg.dog, np.array(sorted(collected)), destination)
         v_sheep = dense_flock_velocities(state, cfg.sheep)
         state = FlockState(
-            step=state.step + 1,
             sheep_pos=state.sheep_pos + v_sheep,
             sheep_vel_prev=v_sheep,
             dog_pos=state.dog_pos + v_dog,
@@ -451,7 +448,6 @@ def test_fat_run_mirrors_with_the_initial_condition():
     mirror = np.array([-1.0, 1.0])
     cfg_m = replace(cfg, dog_start=cfg.dog_start * mirror)
     state_m = FlockState(
-        step=state.step,
         sheep_pos=state.sheep_pos * mirror,
         sheep_vel_prev=state.sheep_vel_prev * mirror,
         dog_pos=state.dog_pos * mirror,
@@ -493,7 +489,7 @@ def test_whole_episodes_are_equivariant_under_axis_symmetries(n, horizon, propos
 
     def episode(f):
         cfg = ScenarioConfig(n_sheep=n, horizon=horizon, goal=GoalSpec(f(goal), 20.0), dog_start=f(dog))
-        state = FlockState(step=0, sheep_pos=f(sheep), sheep_vel_prev=f(vel), dog_pos=f(dog))
+        state = FlockState(sheep_pos=f(sheep), sheep_vel_prev=f(vel), dog_pos=f(dog))
         if proposed:
             return run_recorded(run_proposed, cfg, tour, initial_state=state)
         return run_recorded(run_fat, cfg, initial_state=state)

@@ -4,7 +4,7 @@ import pytest
 from dataclasses import replace
 
 from sheepdog import flock
-from sheepdog.flock import SheepParams
+from sheepdog.flock import FlockState, SheepParams
 from sheepdog.placement import (
     initial_placement,
     placement_radius,
@@ -38,7 +38,6 @@ def test_initial_placement_support_and_shape():
     assert np.all(dist <= radius + 1e-9)
     assert np.array_equal(state.sheep_vel_prev, np.zeros((500, 2)))
     assert np.array_equal(state.dog_pos, cfg.dog_start)
-    assert state.step == 0
 
 
 def test_initial_placement_mean_radius_matches_uniform_disk():
@@ -60,7 +59,6 @@ def test_warmup_zero_steps_is_identity():
     cfg = ScenarioConfig(n_sheep=10, rho=0.0012)
     state = initial_placement(cfg, np.random.default_rng(1))
     warmed = warmup(state, cfg.sheep, 0)
-    assert warmed.step == state.step
     assert np.array_equal(warmed.sheep_pos, state.sheep_pos)
 
 
@@ -75,19 +73,25 @@ def test_warmup_holds_dog_still_and_applies_its_push():
     assert warmed.sheep_pos[0, 0] == 0.0
 
 
-def test_warmup_advances_step_counter():
-    cfg = ScenarioConfig(n_sheep=5, rho=0.0012)
-    state = initial_placement(cfg, np.random.default_rng(4))
-    assert warmup(state, cfg.sheep, 7).step == 7
-
-
-def test_prepare_start_state_resets_step_and_keeps_motion():
+def test_prepare_start_state_keeps_motion():
     cfg = ScenarioConfig(n_sheep=15, rho=0.0012)
     state = prepare_start_state(cfg, base_seed=0, trial=0)
-    assert state.step == 0
     assert np.array_equal(state.dog_pos, cfg.dog_start)
     # Settled flocks keep their last velocities for the alignment term.
     assert np.any(state.sheep_vel_prev != 0.0)
+
+
+def test_prepare_start_state_checks_the_flock_twice(monkeypatch):
+    # Once as placed and once as settled; the settled state is returned as it is.
+    checks, post_init = [], FlockState.__post_init__
+
+    def counted(self):
+        checks.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(FlockState, "__post_init__", counted)
+    prepare_start_state(ScenarioConfig(n_sheep=6, rho=0.0012), base_seed=0)
+    assert len(checks) == 2
 
 
 def test_prepare_start_state_paired_and_trial_separated():
@@ -120,7 +124,7 @@ def test_warmup_steps_skip_a_patched_flock_state(monkeypatch):
     kernel, real_state, calls, builds = flock.flock_velocities, flock.FlockState, [], []
 
     def counted_kernel(state, params, near):
-        calls.append(state.step)
+        calls.append(state)
         return kernel(state, params, near)
 
     def counted_state(*args, **kwargs):
@@ -130,7 +134,7 @@ def test_warmup_steps_skip_a_patched_flock_state(monkeypatch):
     monkeypatch.setattr(flock, "flock_velocities", counted_kernel)
     monkeypatch.setattr(flock, "FlockState", counted_state)
     settled = warmup(placed, cfg.sheep, 30)
-    assert calls == list(range(30)) and builds == []
+    assert len(calls) == 30 and calls[0] is placed and builds == []
     assert not settled.sheep_pos.flags.writeable
     assert settled.sheep_pos.tobytes() == plain.sheep_pos.tobytes()
     assert settled.sheep_vel_prev.tobytes() == plain.sheep_vel_prev.tobytes()
@@ -142,7 +146,7 @@ def test_warmup_rejects_a_state_that_turned_non_finite(monkeypatch):
     kernel, calls = flock.flock_velocities, []
 
     def blows_up_at_step_ten(state, params, near):
-        calls.append(state.step)
+        calls.append(state)
         v = kernel(state, params, near)
         return np.full_like(v, bad) if len(calls) == 10 else v
 

@@ -13,9 +13,11 @@ flock searches a NeighbourList, a Verlet list that its caller keeps
 across the steps of one run. A build lists the pairs whose legs |dx|
 and |dy| are both within 2 r_s. Each step takes the differences and
 distances of the listed pairs alone, and the list is rebuilt once a
-sheep has moved more than r_s / 4 since the build. The class docstring
-says why that misses no neighbour. Either way the same pairs come out in
-row-major order with the same distances and differences.
+coordinate of a sheep has moved more than 0.45 r_s since the build,
+about once every 11 steps in an N = 100 episode. The class docstring
+says why that misses no neighbour: an unlisted pair stays more than
+1.1 r_s apart. Either way the same pairs come out in row-major order
+with the same distances and differences.
 
 The three neighborhood terms are evaluated only for these P pairs, with
 each pair's direction taken from the dx, dy that gave its distance: one
@@ -40,16 +42,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .vec import EPS, UNIT_X, as_point
+from .vec import EPS, UNIT_X, as_point, offsets
 
 # Row offsets of the pair-term matrix, scaled by N into bincount bins.
 _TERM_ROWS = np.arange(7)[:, None]
 
 # Flock size from which the kernel searches a NeighbourList. Kernel time,
-# list / dense, median over in-episode states: 1.08 at N = 20, 1.03-1.06
-# at N = 24, 1.01 at N = 28, 0.96-0.97 at N = 32, 0.86 at N = 40, 0.75 at
-# N = 50.
+# list / dense, over the states of T = 600 fat episodes (min of 9, median
+# of seeds 0-4, 0.45 r_s rebuilds): 1.07-1.08 at N = 20, 1.00-1.04 at
+# N = 24, 0.98-0.99 at N = 28, 0.90-0.93 at N = 32, 0.79 at N = 40,
+# 0.68-0.69 at N = 50.
 _LIST_MIN_N = 32
+
+# A NeighbourList is rebuilt once a coordinate has moved more than this
+# many r_s since its build; below 1/2, so that no pair is missed. List
+# builds per 100 steps in N = 100, T = 600 fat episodes, seeds 0-5: 17.1
+# at r_s / 4, 9.0 at 0.45 r_s.
+_REBUILD_MOVE = 0.45
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,6 @@ class FlockState:
         object.__setattr__(self, "sheep_pos", pos)
         object.__setattr__(self, "sheep_vel_prev", vel)
         object.__setattr__(self, "dog_pos", as_point(self.dog_pos))
-        self.dog_pos.setflags(write=False)
 
     @classmethod
     def _unchecked(cls, sheep_pos: np.ndarray, sheep_vel_prev: np.ndarray, dog_pos: np.ndarray) -> FlockState:
@@ -155,19 +163,22 @@ class NeighbourList:
     order, and keeps the positions it saw. A query takes x_j - x_i,
     y_j - y_i and ``np.hypot`` for the listed pairs alone and keeps
     those within r_s. It rebuilds first unless no coordinate of any
-    sheep has changed by more than r_s / 4 since the build. A nan or inf
-    change fails that test, so a flock that turned non-finite is
-    searched afresh on every step.
+    sheep has changed by more than _REBUILD_MOVE = 0.45 r_s since the
+    build. A nan or inf change fails that test, so a flock that turned
+    non-finite is searched afresh on every step.
 
     No neighbour is missed. An unlisted pair had a leg longer than 2 r_s
     at the build, or one that was not finite, which finite positions
     give only by overflowing. Each of its two sheep has since moved at
-    most r_s / 4 along that axis, so the leg is still longer than
-    1.5 r_s, and a faithfully rounded hypot is never below either leg.
-    That margin of r_s / 2 is far larger than the rounding of the few
-    subtractions involved. A listed pair is tested with the same
-    subtraction and hypot as in an N x N search, so a query gives the
-    same pairs, in the same order, with the same distances and
+    most 0.45 r_s along that axis, so the leg is still longer than
+    2 r_s - 2 * 0.45 r_s = 1.1 r_s, and a faithfully rounded hypot is
+    never below either leg. That margin of 0.1 r_s is far larger than
+    the rounding of the few operations involved, each of which errs by
+    at most a part in 2**53 of its result. The one exception, 0.45 r_s
+    for a subnormal r_s, rounds to at most r_s / 2, and legs and moves
+    that small are exact differences. A listed pair is tested with the
+    same subtraction and hypot as in an N x N search, so a query gives
+    the same pairs, in the same order, with the same distances and
     differences.
     """
 
@@ -196,7 +207,7 @@ class NeighbourList:
         rows of one (2, P) array, its differences x_j - x_i and y_j - y_i."""
         built = self._pos
         stale = built is None or built.shape != pos.shape or r_s != self._r_s
-        if stale or not np.abs(pos - built).max() <= r_s / 4:
+        if stale or not np.abs(pos - built).max() <= _REBUILD_MOVE * r_s:
             self._build(pos, r_s)
         ij = self._ij
         diff = np.subtract(pos.take(ij[1], axis=0), pos.take(ij[0], axis=0))
@@ -220,7 +231,7 @@ def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList
     from_dog, if given, is the state's sheep - dog differences, shape
     (2, N), and their np.hypot distances, as vec.offsets gives them; the
     kernel reads them and does not write to them. Without it the kernel
-    takes the same subtraction and hypot itself.
+    calls vec.offsets itself.
     """
     xy = state.sheep_pos.T
     n = xy.shape[1]
@@ -263,10 +274,7 @@ def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList
     weighted = sums[:6] / np.maximum(sums[6], 1.0)
     weighted *= params._gains
 
-    if from_dog is None:
-        away = np.subtract(xy, state.dog_pos[:, None], order="C")
-        from_dog = away, np.hypot(away[0], away[1])
-    away, dog_dist = from_dog
+    away, dog_dist = offsets(state.sheep_pos, state.dog_pos[:, None]) if from_dog is None else from_dog
     dog_clamped = np.maximum(dog_dist, EPS)
     flight = np.divide(away, dog_clamped)
     dog_coincident = dog_dist == 0.0

@@ -22,7 +22,6 @@ class GoalSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", as_point(self.center))
-        self.center.setflags(write=False)
         if not 0 < self.radius < math.inf:
             raise ValueError("goal radius must be positive and finite")
 
@@ -46,7 +45,6 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dog_start", as_point(self.dog_start))
-        self.dog_start.setflags(write=False)
         if self.n_sheep < 1:
             raise ValueError("N must be at least 1")
         if not 0 < self.rho < math.inf:

@@ -10,12 +10,14 @@ UNIT_X = np.array([1.0, 0.0])
 
 
 def as_point(value) -> np.ndarray:
-    """Coerce to a finite float64 array of shape (2,)."""
-    pt = np.asarray(value, dtype=float)
+    """A read-only float64 copy of value, which must be finite and of
+    shape (2,); a copy, so that the caller's array stays writeable."""
+    pt = np.array(value, dtype=float)
     if pt.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {pt.shape}")
     if not np.all(np.isfinite(pt)):
         raise ValueError("vector components must be finite")
+    pt.setflags(write=False)
     return pt
 
 

@@ -304,7 +304,7 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
 GUARDED_COMMANDS = {
     "plan": (["plan", "--iterations", "30"], {"tour.txt", "cost_trace.csv", "plan_summary.txt"}),
     "simulate": (["simulate", "--iterations", "30"], {"trajectory.csv", "phases.csv", "run_summary.txt"}),
-    "batch": (["batch", "--grid", "3;0.01", "--trials", "1", "--iterations", "30"], {"trials.csv", "summary.csv"}),
+    "batch": (["batch", "--trials", "1", "--iterations", "30"], {"trials.csv", "summary.csv"}),
 }
 EDGE_VALUES = ["0", "-0", "5e-324", "1e154", "1e308", "inf", "-inf", "nan"]
 
@@ -315,16 +315,20 @@ EDGE_VALUES = ["0", "-0", "5e-324", "1e154", "1e308", "inf", "-inf", "nan"]
 def test_edge_config_values_exit_zero_with_files_or_two_without_out(command, keys, data, tmp_path_factory):
     # Any config key, a pair's either half included, at a float edge value:
     # the run writes all its files, or prints one error line and writes nothing.
+    # A flock of 33 searches a NeighbourList, where 0.45 r_s can underflow
+    # and 2 r_s overflow.
+    n = data.draw(st.sampled_from([3, 33]))
     edge = st.sampled_from(EDGE_VALUES)
     overrides = []
     for key in keys:
         value = f"{data.draw(edge)},{data.draw(edge)}" if _CONFIG_KEYS[key][1] is _PAIR else data.draw(edge)
         overrides += ["--set", f"{key}={value}"]
     argv, files = GUARDED_COMMANDS[command]
+    grid = ["--grid", f"{n};0.01"] if command == "batch" else []
     out = tmp_path_factory.mktemp("guard") / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = run_cli([*argv, "--set", "N=3", "--set", "T=20", *overrides, "--out", str(out)])
+        code = run_cli([*argv, *grid, "--set", f"N={n}", "--set", "T=20", *overrides, "--out", str(out)])
     if code == 0:
         assert {p.name for p in out.iterdir()} == files
         assert all(p.stat().st_size for p in out.iterdir())

@@ -10,6 +10,7 @@ from _recorder import Recorder
 from sheepdog import flock, guidance
 from sheepdog.experiments import run_trial
 from sheepdog.flock import (
+    _REBUILD_MOVE,
     FlockState,
     NeighbourList,
     SheepParams,
@@ -249,8 +250,9 @@ def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):
 
 
 def test_a_large_episode_reuses_its_neighbour_list(monkeypatch):
-    # Sheep move about 1.1 per step against r_s / 4 = 5, so a list lasts
-    # several steps; a rebuild on every step would fail here.
+    # Sheep move about 1.1 per step against 0.45 r_s = 9, so a list lasts
+    # about 11 steps (53 builds in 600 steps); a rebuild at r_s / 4 = 5,
+    # about every 6 steps (103 builds), would fail here.
     cfg = ScenarioConfig(n_sheep=100, rho=0.0012, horizon=600)
     start = prepare_start_state(cfg, base_seed=0)
     build, builds = NeighbourList._build, []
@@ -262,14 +264,14 @@ def test_a_large_episode_reuses_its_neighbour_list(monkeypatch):
     monkeypatch.setattr(NeighbourList, "_build", counted)
     record = run_fat(cfg, start)
     assert record.k_end == 600
-    assert 0 < len(builds) < record.k_end / 2
+    assert 0 < len(builds) < record.k_end / 8
 
 
 # Moves of a walk, in units of r_s: still, a small step, just under, at and
-# just over the r_s / 4 that triggers a rebuild, and jumps over 2 r_s. The
-# walks also draw sizes up to 0.6, so a list kept too long misses pairs.
-_QUARTER = 0.25
-_MOVES = (0.0, 0.01, np.nextafter(_QUARTER, 0.0), _QUARTER, np.nextafter(_QUARTER, 1.0), 2.0, 2.5)
+# just over the move that triggers a rebuild, and jumps over 2 r_s. The
+# walks also draw sizes up to 0.6 and close the flock in, so a list kept
+# past moves of r_s / 2 misses pairs (one kept to 0.55 r_s fails here).
+_MOVES = (0.0, 0.01, np.nextafter(_REBUILD_MOVE, 0.0), _REBUILD_MOVE, np.nextafter(_REBUILD_MOVE, 1.0), 2.0, 2.5)
 # Walks keep every coordinate within this, so no difference overflows.
 _COORD_LIMIT = 4e307
 
@@ -286,7 +288,9 @@ def walks(draw):
     steps = []
     for _ in range(draw(st.integers(2, 30))):
         size = draw(st.one_of(st.sampled_from(_MOVES), st.floats(0.0, 0.6)))
-        seed = draw(st.integers(0, 2**32 - 1))
+        # None closes the flock in: sheep on either side of its median
+        # step towards each other, as an unlisted pair must to be missed.
+        seed = draw(st.one_of(st.none(), st.integers(0, 2**32 - 1)))
         steps.append((size, seed))
     dog = draw(st.tuples(unit, unit))
     return r_s, start, steps, dog
@@ -294,13 +298,17 @@ def walks(draw):
 
 def _walk_states(r_s, start, steps, dog):
     """Checked states along the walk: each step moves every sheep by
-    size * r_s or not at all along each axis, with a random sign."""
+    size * r_s or not at all along each axis, with a random sign or
+    towards the flock's median."""
     pos = np.clip(start * r_s, -_COORD_LIMIT, _COORD_LIMIT)
     dog_pos = np.clip(np.array(dog) * r_s, -_COORD_LIMIT, _COORD_LIMIT)
     state = make_state(pos, dog_pos)
     yield state
     for size, seed in steps:
-        signs = np.random.default_rng(seed).integers(-1, 2, size=pos.shape)
+        if seed is None:
+            signs = -np.sign(pos - np.median(pos, axis=0))
+        else:
+            signs = np.random.default_rng(seed).integers(-1, 2, size=pos.shape)
         # Python floats: a jump over 2 r_s = inf is cut to a finite one.
         length = min(float(size) * r_s, 2 * _COORD_LIMIT)
         moved = np.clip(pos + signs * length, -_COORD_LIMIT, _COORD_LIMIT)

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from _dog_oracle import clamped_norm, safe_unit
+from sheepdog.flock import FlockState
+from sheepdog.scenario import GoalSpec, ScenarioConfig
 from sheepdog.vec import EPS, UNIT_X, as_point
 
 
@@ -24,6 +26,24 @@ def test_as_point_rejects_bad_shapes_and_nonfinite():
         as_point([np.nan, 0.0])
     with pytest.raises(ValueError):
         as_point([np.inf, 0.0])
+
+
+def test_held_points_are_read_only_copies_of_the_callers_arrays():
+    def held(make):
+        given = np.array([1.0, 2.0])
+        point = make(given)
+        given[0] = 7.0  # the caller's array stays writeable ...
+        return point
+
+    for point in (
+        held(as_point),
+        held(lambda c: GoalSpec(center=c, radius=5.0).center),
+        held(lambda d: ScenarioConfig(dog_start=d).dog_start),
+        held(lambda d: FlockState(np.zeros((1, 2)), np.zeros((1, 2)), dog_pos=d).dog_pos),
+    ):
+        # ... and the held copy neither follows it nor takes writes.
+        assert point.tolist() == [1.0, 2.0]
+        assert not point.flags.writeable
 
 
 def test_safe_unit_returns_unit_vectors():

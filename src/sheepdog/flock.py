@@ -6,33 +6,31 @@ previous headings, a unit-vector pull toward them, and an inverse-square
 flight response away from the dog. Velocities are applied directly, so a
 sheep's displacement per step equals its velocity for that step.
 
-A flock of fewer than ``_LIST_MIN_N`` sheep takes the differences of
-all N x N pairs as one C-ordered (2, N, N) array, whose planes are dx
-and dy, and the distance of every pair with ``np.hypot``. A larger
-flock searches a NeighbourList, a Verlet list that its caller keeps
-across the steps of one run. A build lists the pairs whose legs |dx|
-and |dy| are both within 2 r_s. Each step takes the differences and
-distances of the listed pairs alone, and the list is rebuilt once a
-coordinate of a sheep has moved more than 0.45 r_s since the build,
-about once every 11 steps in an N = 100 episode. The class docstring
-says why that misses no neighbour: an unlisted pair stays more than
-1.1 r_s apart. Either way the same pairs come out in row-major order
-with the same distances and differences.
+The flight has the form of the push (as in Strömbom et al. 2014), so the
+dog is the kernel's last neighbour row. Entry (i, j) is sheep j seen
+from p_i, sheep i for i < N and the dog for i = N, with difference
+d = x_j - p_i and distance c. The dog's N entries follow the pairs, and
+their push (d/c) / -(c**2) times -k_flight is the flight term
+(d/c) / c**2 * k_flight, bit for bit, as negation is exact; a sheep on
+the dog holds -UNIT_X / c**2 there, so that it flees along +x.
 
-The three neighborhood terms are evaluated only for these P pairs, with
-each pair's direction taken from the dx, dy that gave its distance: one
-``take`` of the pairs' (2, P) differences and one divide. The
-terms fill one (7, P) matrix whose last row is all ones, and one
-``np.bincount`` sums every row per sheep, so the same call counts the
-neighbours that divide the sums. That gives the same bits as summing
-masked (N, N, 2) arrays along axis 1: both add each sheep's terms one at
-a time in ascending neighbor order starting from +0, and the masked-out
-terms a dense sum would add are exact zeros, which change no non-zero
-partial sum and leave a zero sum at +0.
+Every call reads the pass of its state (sheep_offsets): one C-ordered
+(2, R, N) difference of the sheep from every sheep (below
+``_LIST_MIN_N`` only), the dog and any points of the caller's, planes
+dx and dy, and one ``np.hypot``. A small flock's entries are the pass's
+rows :N within r_s and all of row N. A larger flock searches a
+NeighbourList that its caller keeps across the steps of one run, and
+appends the pass's dog row to the pairs it lists. Either way the same
+entries come out in row-major order with the same distances and
+differences.
 
-What does not change from call to call is built once: the gain column
-per ``SheepParams``, and below ``_LIST_MIN_N`` the per-size tables that
-give each pair's bincount keys and neighbour index.
+The pairs' terms fill one (7, P) matrix whose last row is all ones, and
+one ``np.bincount`` sums every row per sheep, counting the neighbours
+that divide the sums. That gives the same bits as summing masked
+(N, N, 2) arrays along axis 1: both add each sheep's terms one at a time
+in ascending neighbor order starting from +0, and the masked-out terms
+a dense sum would add are exact zeros, which change no non-zero partial
+sum and leave a zero sum at +0.
 """
 from __future__ import annotations
 
@@ -42,9 +40,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .vec import EPS, UNIT_X, as_point, offsets
+from .vec import EPS, UNIT_X, as_point
 
-# Row offsets of the pair-term matrix, scaled by N into bincount bins.
+# Row offsets of the term matrix, scaled by N into bincount bins.
 _TERM_ROWS = np.arange(7)[:, None]
 
 # Flock size from which the kernel searches a NeighbourList. Kernel time,
@@ -80,7 +78,7 @@ class SheepParams:
         # The kernel scales its (6, N) neighbourhood means by this column.
         # It is built here, once per params; not a field, so equality,
         # hashing and repr see the gains alone.
-        gains = np.repeat((self.k_separation, self.k_alignment, self.k_cohesion), 2)[:, None]
+        gains = np.repeat((self.k_separation, self.k_cohesion, self.k_alignment), 2)[:, None]
         gains.setflags(write=False)
         object.__setattr__(self, "_gains", gains)
 
@@ -130,56 +128,67 @@ _snapshot = FlockState._unchecked
 
 
 @lru_cache(maxsize=64)
-def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_table(n: int) -> np.ndarray:
     """For every flat pair index i*N + j: its bincount key in each term
-    row, shape (7, N*N), and its neighbour j. Built once per flock size."""
+    row and, in row 7, its neighbour j. Built once per flock size."""
     i, j = np.divmod(np.arange(n * n), n)
-    keys = _TERM_ROWS * n + i
-    keys.setflags(write=False)
-    j.setflags(write=False)
-    return keys, j
+    table = np.vstack((_TERM_ROWS * n + i, j))
+    table.setflags(write=False)
+    return table
 
 
-def _neighbour_pairs(xy: np.ndarray, r_s: float) -> tuple[np.ndarray, ...]:
-    """Flat indices i*N + j of the pairs i != j within r_s, ascending, with
-    their distances and, as the rows of one (2, P) array, their
-    differences x_j - x_i and y_j - y_i. xy holds the x and y rows."""
-    n = xy.shape[1]
-    # diff[:, i, j] = xy[:, j] - xy[:, i]; C order keeps each axis's plane contiguous.
-    diff = np.subtract(xy[:, None, :], xy[:, :, None], order="C")
-    dist = np.hypot(diff[0], diff[1])
-    neighbors = dist <= r_s
+def pass_points(n: int, *extra: np.ndarray) -> np.ndarray:
+    """A (2, R, 1) array for sheep_offsets: rows for the kernel's points
+    of an n-sheep flock, every sheep (below _LIST_MIN_N only) and the dog,
+    then the extra points."""
+    rows = n + 1 if n < _LIST_MIN_N else 1
+    at = np.empty((2, rows + len(extra), 1))
+    at[:, rows:, 0] = np.transpose(extra)
+    return at
+
+
+def sheep_offsets(state: FlockState, points: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The pass of one state: the differences of the sheep from points, a
+    pass_points array whose kernel rows this sets from state, shape
+    (2, R, N), and their distances, shape (R, N)."""
+    n = state.n
+    points = pass_points(n) if points is None else points
+    dog = n if n < _LIST_MIN_N else 0
+    if dog:
+        points[:, :dog, 0] = state.sheep_pos.T
+    points[:, dog, 0] = state.dog_pos
+    diff = np.subtract(state.sheep_pos.T[:, None], points, order="C")
+    return diff, np.hypot(diff[0], diff[1])
+
+
+def _neighbour_pairs(diff: np.ndarray, dist: np.ndarray, r_s: float) -> tuple[np.ndarray, ...]:
+    """From the pass of an N-sheep state: the flat indices i*N + j of the
+    pairs i != j within r_s and then of the dog's N entries, ascending,
+    with their distances and, as one (2, P) array, their differences."""
+    n = dist.shape[1]
+    neighbors = dist[: n + 1] <= r_s
     neighbors.flat[:: n + 1] = False
+    neighbors[n] = True
     pairs = neighbors.ravel().nonzero()[0]
-    return pairs, dist.take(pairs), diff.reshape(2, n * n).take(pairs, axis=1)
+    return pairs, dist.ravel().take(pairs), diff.reshape(2, -1).take(pairs, axis=1)
 
 
 class NeighbourList:
     """The pairs of one flock that may be within r_s, kept across steps
     (a Verlet list; Verlet 1967).
 
-    A build takes the N x N differences and lists the pairs i != j whose
-    legs |dx| and |dy| are both at most 2 r_s, in ascending i*N + j
-    order, and keeps the positions it saw. A query takes x_j - x_i,
-    y_j - y_i and ``np.hypot`` for the listed pairs alone and keeps
-    those within r_s. It rebuilds first unless no coordinate of any
-    sheep has changed by more than _REBUILD_MOVE = 0.45 r_s since the
-    build. A nan or inf change fails that test, so a flock that turned
-    non-finite is searched afresh on every step.
-
-    No neighbour is missed. An unlisted pair had a leg longer than 2 r_s
-    at the build, or one that was not finite, which finite positions
-    give only by overflowing. Each of its two sheep has since moved at
-    most 0.45 r_s along that axis, so the leg is still longer than
-    2 r_s - 2 * 0.45 r_s = 1.1 r_s, and a faithfully rounded hypot is
-    never below either leg. That margin of 0.1 r_s is far larger than
-    the rounding of the few operations involved, each of which errs by
-    at most a part in 2**53 of its result. The one exception, 0.45 r_s
-    for a subnormal r_s, rounds to at most r_s / 2, and legs and moves
-    that small are exact differences. A listed pair is tested with the
-    same subtraction and hypot as in an N x N search, so a query gives
-    the same pairs, in the same order, with the same distances and
-    differences.
+    A build lists the pairs i != j whose legs |dx| and |dy| are both at
+    most 2 r_s, in ascending i*N + j order. A query measures the listed
+    pairs alone, with the pass's subtraction and hypot, and keeps those
+    within r_s. It rebuilds first unless no coordinate of any sheep has moved
+    by more than _REBUILD_MOVE = 0.45 r_s since the build (nan and inf
+    moves fail that test). No neighbour is missed: an unlisted pair had a
+    leg longer than 2 r_s at the build (or not finite, which finite
+    positions give only by overflowing), so after two moves of 0.45 r_s
+    it is still longer than 1.1 r_s, and a faithfully rounded hypot is
+    never below either leg. That margin dwarfs the rounding involved; for
+    a subnormal r_s, 0.45 r_s rounds to at most r_s / 2, and legs and
+    moves that small are exact differences.
     """
 
     __slots__ = ("_pos", "_r_s", "_ij")
@@ -218,54 +227,55 @@ class NeighbourList:
 
 
 def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList | None = None,
-                     from_dog: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                     measured: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Velocities for every sheep computed from the same state snapshot.
 
     Sheep with no neighbors get zero separation, alignment, and cohesion;
     the flight term away from the dog always applies. Distances in
-    denominators are clamped below by EPS and an exactly coincident pair
-    repels along +x. A flock of ``_LIST_MIN_N`` sheep or more finds its
-    pairs through near, a NeighbourList that the caller keeps from step
-    to step of one flock, or through a new one if near is None.
-
-    from_dog, if given, is the state's sheep - dog differences, shape
-    (2, N), and their np.hypot distances, as vec.offsets gives them; the
-    kernel reads them and does not write to them. Without it the kernel
-    calls vec.offsets itself.
+    denominators are clamped below by EPS, and an exactly coincident pair
+    repels along +x, as does the dog from a sheep on it. The kernel reads
+    measured, the state's pass from sheep_offsets (its own if None), and
+    writes to no row of it. From ``_LIST_MIN_N`` sheep on it searches
+    near, a NeighbourList that the caller keeps across the steps of one
+    flock (a new one if None).
     """
-    xy = state.sheep_pos.T
-    n = xy.shape[1]
+    n = state.n
+    diff, dist = sheep_offsets(state) if measured is None else measured
 
-    # Bincount keys of the pair-term matrix, flattened, and each pair's
-    # neighbour j. Small flocks look them up: their tables hold 8 N * N
-    # integers, under 62 kB. Larger flocks build them from the pairs, so
-    # that their memory does not grow with N * N between calls.
+    # Flattened bincount keys of the pairs and each pair's neighbour j:
+    # small flocks look them up in tables of 8 N * N integers, under
+    # 62 kB, and larger flocks build them. The dog's N entries follow.
     if n < _LIST_MIN_N:
-        pairs, pair_dist, pair_diff = _neighbour_pairs(xy, params.r_s)
-        key_table, neighbour = _pair_tables(n)
-        keys, j = key_table.take(pairs, axis=1).ravel(), neighbour.take(pairs)
+        pairs, pair_dist, pair_diff = _neighbour_pairs(diff, dist, params.r_s)
+        table = _pair_table(n).take(pairs[:-n], axis=1)
+        keys, j = table[:7].ravel(), table[7]
     else:
-        if near is None:
-            near = NeighbourList()
-        i, j, pair_dist, pair_diff = near.pairs(state.sheep_pos, params.r_s)
+        i, j, pair_dist, pair_diff = (near or NeighbourList()).pairs(state.sheep_pos, params.r_s)
         keys = (_TERM_ROWS * n + i).ravel()
+        pair_dist = np.concatenate((pair_dist, dist[0]))
+        pair_diff = np.concatenate((pair_diff, diff[:, 0]), axis=1)
 
     clamped = np.maximum(pair_dist, EPS)
-    # Rows: separation x/y, alignment x/y, cohesion x/y, neighbour count.
-    terms = np.empty((7, j.size))
-    toward = np.divide(pair_diff, clamped, out=terms[4:6])
+    # Rows: separation x/y and cohesion x/y of every entry.
+    push = np.empty((4, pair_dist.size))
+    toward = np.divide(pair_diff, clamped, out=push[2:4])
     # away / clamped**2 with away = -toward: negating the divisor instead
     # gives the same bits.
-    np.divide(toward, -(clamped**2), out=terms[0:2])
+    np.divide(toward, -(clamped**2), out=push[0:2])
+    flight = push[0:2, -n:]  # the dog's; see the module docstring
     coincident = pair_dist == 0.0
     if np.count_nonzero(coincident):
         toward[:, coincident] = UNIT_X[:, None]
-        terms[0:2, coincident] = UNIT_X[:, None] / clamped[coincident] ** 2
+        push[0:2, coincident] = UNIT_X[:, None] / clamped[coincident] ** 2
+        np.negative(flight, out=flight, where=coincident[-n:])  # -UNIT_X / c**2
 
+    # Rows: separation x/y, cohesion x/y, alignment x/y, neighbour count.
+    terms = np.empty((7, j.size))
+    terms[0:4] = push[:, :-n]
     prev = state.sheep_vel_prev.T
     prev_norm = np.hypot(prev[0], prev[1])
     headings = np.divide(prev, prev_norm, out=np.zeros((2, n)), where=prev_norm >= EPS)
-    headings.take(j, axis=1, out=terms[2:4])
+    headings.take(j, axis=1, out=terms[4:6])
     terms[6] = 1.0
 
     # One bincount sums every (row, sheep) bin, adding its weights in input
@@ -273,18 +283,10 @@ def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList
     sums = np.bincount(keys, weights=terms.ravel(), minlength=7 * n).reshape(7, n)
     weighted = sums[:6] / np.maximum(sums[6], 1.0)
     weighted *= params._gains
+    flight *= -params.k_flight
 
-    away, dog_dist = offsets(state.sheep_pos, state.dog_pos[:, None]) if from_dog is None else from_dog
-    dog_clamped = np.maximum(dog_dist, EPS)
-    flight = np.divide(away, dog_clamped)
-    dog_coincident = dog_dist == 0.0
-    if np.count_nonzero(dog_coincident):
-        flight[:, dog_coincident] = UNIT_X[:, None]
-    flight /= dog_clamped**2
-    flight *= params.k_flight
-
-    v = weighted[0:2] + weighted[2:4]
-    v += weighted[4:6]
+    v = weighted[0:2] + weighted[4:6]  # separation, alignment, cohesion: the dense sum's order
+    v += weighted[2:4]
     return np.add(v.T, flight.T, order="C")  # laid out like sheep_pos
 
 

@@ -15,18 +15,18 @@ The steps in between are unchecked snapshots, and the episode keeps
 none: given a sink, it calls sink(state) on the start state and after
 every step, so call k sees the state after k steps.
 
-Each state's distances are taken once. One (2, 2, N) difference of the
-sheep against the dog and the goal centre and one ``np.hypot`` give
-every sheep's distance to both. The goal check reads the goal row; the
-controller's contact test, its choice of the sheep to track and to stand
-off, and the drive's farthest sheep read the two rows; the kernel's
-flight term reads the dog's differences and distances. A gather target's
+Each state's distances are taken once, in the kernel's pass
+(flock.sheep_offsets) with the goal centre as its last row: one
+difference and one ``np.hypot`` from every sheep (below
+flock._LIST_MIN_N only), the dog and the goal. The goal check reads the
+last row; the controller's contact test, its choice of the sheep to
+track and to stand off, and the drive's farthest sheep read the last
+two; the kernel reads the rest. A gather target's
 distances are taken once per step, and again only when a collection
 moves the target within that step. The drive's candidates are the tour
 prefix, built once per phase. The kernel gets one neighbour list per
-episode, which it reuses across steps. The kernel, the dog laws (two
-floats out) and the goal check are called through this module's names,
-where a tracer can wrap them.
+episode. The kernel, the dog laws (two floats out) and the goal check
+are called through this module's names, where a tracer can wrap them.
 """
 from __future__ import annotations
 
@@ -36,10 +36,10 @@ from enum import Enum
 import numpy as np
 
 from .dog import _length, approach_velocity, steering_command
-from .flock import FlockState, NeighbourList, _snapshot, flock_velocities
+from .flock import FlockState, NeighbourList, _snapshot, flock_velocities, pass_points, sheep_offsets
 from .routing import Tour
 from .scenario import GoalSpec, ScenarioConfig
-from .vec import distances, offsets
+from .vec import distances
 
 
 class GuidanceMode(Enum):
@@ -149,37 +149,33 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
         raise ValueError(f"state has {state.n} sheep, scenario expects {scenario.n_sheep}")
 
     goal = scenario.goal
-    # Each state's sheep are measured against the dog and the goal centre
-    # in one pass; row 0 of points is rewritten as the dog moves.
-    points = np.empty((2, 2, 1))
-    points[:, :, 0] = state.dog_pos, goal.center
-    away, dists = offsets(state.sheep_pos, points)
+    points = pass_points(state.n, goal.center)  # rows -2 and -1: dog, goal
+    measured = sheep_offsets(state, points)
 
     k = -1  # the last step taken; the loop may take none
     if sink is not None:
         sink(state)
     phases: list[tuple[int, GuidancePhase]] = []
     total = 0.0
-    success = goal_reached(dists[1], goal)
+    success = goal_reached(measured[1][-1], goal)
 
     if not success:
         dog_x, dog_y = state.dog_pos.tolist()
         near = NeighbourList()
         for k in range(scenario.horizon):
-            phase, (vx, vy) = controller(state, dists)
+            phase, (vx, vy) = controller(state, measured[1][-2:])
             # The controller hands out a new phase object only when the phase changes.
             if not phases or phase is not phases[-1][1]:
                 phases.append((k, phase))
-            v_sheep = flock_velocities(state, scenario.sheep, near, (away[0], dists[0]))
+            v_sheep = flock_velocities(state, scenario.sheep, near, measured)
             dog_x += vx
             dog_y += vy
             state = _snapshot(state.sheep_pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
             total += _length(vx, vy)
             if sink is not None:
                 sink(state)
-            points[0, :, 0] = dog_x, dog_y
-            away, dists = offsets(state.sheep_pos, points)
-            if goal_reached(dists[1], goal):
+            measured = sheep_offsets(state, points)
+            if goal_reached(measured[1][-1], goal):
                 success = True
                 break
         # The end state takes the checks that the steps skipped.

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _flock_oracle import dense_flock_velocities, neighbor_set, sheep_velocity
 from _recorder import Recorder
@@ -15,6 +15,8 @@ from sheepdog.flock import (
     NeighbourList,
     SheepParams,
     flock_velocities,
+    pass_points,
+    sheep_offsets,
     step_flock,
 )
 from sheepdog.guidance import run_fat
@@ -154,15 +156,29 @@ def flocks(draw):
 BOTH_PAIR_SEARCHES = (1, 10**9)
 
 
+# The flight term is the dog's separation entry times -k_flight. These pin
+# its signs: a sheep on the dog must flee along +x, a -0.0 difference must
+# keep its sign with a zero gain, and a square that overflows must give 0.
+_K_FLIGHT_ZERO = SheepParams(R_S, 100.0, 0.5, 2.0, 0.0)
+_NEIGHBOUR_GAINS_ZERO = SheepParams(R_S, 0.0, 0.0, 0.0, 500.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(flocks())
+@example((make_state([[3.0, 4.0], [10.0, 4.0], [3.0, 30.0]], [3.0, 4.0]), DEFAULTS))
+@example((make_state([[-0.0, 5.0], [-0.0, -3.0]], [0.0, -3.0], vel_prev=[[-0.0, 1.0], [0.0, -0.0]]), _K_FLIGHT_ZERO))
+@example((make_state([[-0.0, 5.0], [-0.0, -3.0]], [0.0, -3.0], vel_prev=[[-0.0, 1.0], [0.0, -0.0]]), _NEIGHBOUR_GAINS_ZERO))
+@example((make_state([[1e155, 0.0], [0.0, 0.0], [5.0, 0.0]], [0.0, 1.0]), DEFAULTS))
 def test_flock_velocities_are_bitwise_the_dense_oracle(flock_and_params):
     state, params = flock_and_params
     fortran = make_state(
         np.asfortranarray(state.sheep_pos), state.dog_pos, vel_prev=np.asfortranarray(state.sheep_vel_prev)
     )
+    # From about 1.3e154 off the dog the flight's square overflows to inf;
+    # the episode ignores that overflow, and so does this test.
+    far = np.abs(state.sheep_pos - state.dog_pos).max() > 1e154
     for list_min_n in BOTH_PAIR_SEARCHES:
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore" if far else "warn"):
             mp.setattr(flock, "_LIST_MIN_N", list_min_n)
             assert flock_velocities(state, params).flags.c_contiguous
             for layout in (state, fortran):
@@ -172,20 +188,24 @@ def test_flock_velocities_are_bitwise_the_dense_oracle(flock_and_params):
 
 @settings(max_examples=50, deadline=None)
 @given(flocks(), _point)
-def test_flight_term_from_the_episode_offsets_is_bitwise_the_same(flock_and_params, goal):
-    # The episode loop hands the kernel its own sheep - dog differences and
-    # distances, taken together with the goal's; the kernel must not write to them.
+def test_one_pass_gives_the_episode_rows_and_the_kernel_bits(flock_and_params, goal):
+    # The episode measures each state once, the kernel's points and then
+    # the goal centre, and hands the pass to the kernel, which must give
+    # the bits of its own pass and write to no row of the episode's.
     state, params = flock_and_params
-    points = np.empty((2, 2, 1))
-    points[:, :, 0] = state.dog_pos, goal
-    away, dists = offsets(state.sheep_pos, points)
-    before = away.tobytes(), dists.tobytes()
     for list_min_n in BOTH_PAIR_SEARCHES:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(flock, "_LIST_MIN_N", list_min_n)
-            given_offsets = flock_velocities(state, params, None, (away[0], dists[0]))
-            assert given_offsets.tobytes() == flock_velocities(state, params).tobytes()
-    assert (away.tobytes(), dists.tobytes()) == before
+            diff, dist = measured = sheep_offsets(state, pass_points(state.n, np.array(goal)))
+            assert diff.shape[1] == dist.shape[0] == (state.n + 2 if state.n < list_min_n else 2)
+            for row, point in ((-2, state.dog_pos), (-1, goal)):
+                point_diff, point_dist = offsets(state.sheep_pos, np.array(point)[:, None])
+                assert diff[:, row].tobytes() == point_diff.tobytes()
+                assert dist[row].tobytes() == point_dist.tobytes()
+            before = diff.tobytes(), dist.tobytes()
+            given_pass = flock_velocities(state, params, None, measured)
+            assert given_pass.tobytes() == flock_velocities(state, params).tobytes()
+            assert (diff.tobytes(), dist.tobytes()) == before
 
 
 def test_kernel_constants_stay_with_their_params_and_flock_size():
@@ -206,18 +226,20 @@ def test_kernel_constants_stay_with_their_params_and_flock_size():
 
 def test_both_pair_searches_skip_non_finite_pairs():
     # Sheep 0 and 1 are the only finite pair within r_s; every other pair
-    # has an inf or nan difference.
+    # has an inf or nan difference. The pass's dog entries follow, one per sheep.
     x = np.array([0.0, 5.0, np.inf, -np.inf, np.nan, 10.0, np.inf])
     y = np.array([0.0, 5.0, 0.0, np.inf, 1.0, np.nan, np.inf])
+    pos = np.column_stack((x, y))
     near = NeighbourList()
     with np.errstate(invalid="ignore"):
-        pairs, dist, diff = flock._neighbour_pairs(np.array((x, y)), R_S)
+        pairs, dist, diff = flock._neighbour_pairs(*sheep_offsets(flock._snapshot(pos, pos, np.array((1.0, 2.0)))), R_S)
+        assert pairs[2:].tolist() == list(range(49, 56))  # (7, j), the dog's
         # The second query sees a nan displacement and rebuilds the list.
         for _ in range(2):
-            i, j, listed_dist, listed_diff = near.pairs(np.column_stack((x, y)), R_S)
-            assert (i * x.size + j).tolist() == pairs.tolist() == [1, 7]  # (0, 1) and (1, 0), row-major
-            assert listed_dist.tobytes() == dist.tobytes()
-            assert listed_diff.tobytes() == diff.tobytes()
+            i, j, listed_dist, listed_diff = near.pairs(pos, R_S)
+            assert (i * x.size + j).tolist() == pairs[:2].tolist() == [1, 7]  # (0, 1) and (1, 0), row-major
+            assert listed_dist.tobytes() == dist[:2].tobytes()
+            assert listed_diff.tobytes() == diff[:, :2].tobytes()
 
 
 def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):
@@ -236,7 +258,7 @@ def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):
 
     listed = episodes()
 
-    def dense(state, params, near=None, from_dog=None):
+    def dense(state, params, near=None, measured=None):
         return dense_flock_velocities(state, params)
 
     monkeypatch.setattr(flock, "flock_velocities", dense)

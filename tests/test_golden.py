@@ -25,6 +25,15 @@ CASES = {
         ["simulate", "--method", "proposed:reverse", "--set", "T=300"],
         "e6e93575624373080029fe78ba34ff908c16fbb0b71d3ce6ab69b7d7bf2a6e59",
     ),
+    # N = 40 runs the neighbour-list search of the flock kernel.
+    "simulate-fat-n40": (
+        ["simulate", "--method", "fat", "--set", "N=40", "--set", "T=200"],
+        "3416c1111f351d503583e6a1d2504527832e5ff9440e082acd6c091868eae46d",
+    ),
+    "simulate-proposed-exchange-n40": (
+        ["simulate", "--method", "proposed:exchange", "--set", "N=40", "--set", "T=300"],
+        "2174affb3c4515f6b748f46838824e05975bb6b222d159dbcfceabb20a092cf7",
+    ),
     "batch": (
         ["batch", "--grid", "10,20;0.0012", "--trials", "2", "--set", "T=2000"],
         "742bf814c15cf9fdfc59d4bd36aac1a76869ce6d2e7c229424a526af62437c45",

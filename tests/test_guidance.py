@@ -109,9 +109,9 @@ def test_non_finite_state_mid_episode_raises(monkeypatch, method):
     start = prepare_start_state(cfg, base_seed=0, trial=3)
     calls = []
 
-    def blows_up_at_step_ten(state, params, near, from_dog):
+    def blows_up_at_step_ten(state, params, near, measured):
         calls.append(state)
-        v = flock_velocities(state, params, near, from_dog)
+        v = flock_velocities(state, params, near, measured)
         return np.full_like(v, np.inf) if len(calls) == 10 else v
 
     monkeypatch.setattr(guidance, "flock_velocities", blows_up_at_step_ten)

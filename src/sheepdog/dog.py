@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flock import FlockState
-from .vec import EPS
+from .flock import EPS, FlockState
 
 
 @dataclass(frozen=True)

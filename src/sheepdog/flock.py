@@ -22,7 +22,8 @@ rows :N within r_s and all of row N. A larger flock searches a
 NeighbourList that its caller keeps across the steps of one run, and
 appends the pass's dog row to the pairs it lists. Either way the same
 entries come out in row-major order with the same distances and
-differences.
+differences. sheep_distances splits alike: one sheep's row of a small
+flock's pass, or the same subtraction and hypot of its own.
 
 The pairs' terms fill one (7, P) matrix whose last row is all ones, and
 one ``np.bincount`` sums every row per sheep, counting the neighbours
@@ -31,6 +32,8 @@ that divide the sums. That gives the same bits as summing masked
 in ascending neighbor order starting from +0, and the masked-out terms
 a dense sum would add are exact zeros, which change no non-zero partial
 sum and leave a zero sum at +0.
+
+The module also holds the package's constants and its point check, as_point.
 """
 from __future__ import annotations
 
@@ -40,7 +43,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .vec import EPS, UNIT_X, as_point
+# Distances below EPS are clamped before they reach a denominator.
+EPS = 1e-9
+
+UNIT_X = np.array([1.0, 0.0])
 
 # Row offsets of the term matrix, scaled by N into bincount bins.
 _TERM_ROWS = np.arange(7)[:, None]
@@ -57,6 +63,17 @@ _LIST_MIN_N = 32
 # builds per 100 steps in N = 100, T = 600 fat episodes, seeds 0-5: 17.1
 # at r_s / 4, 9.0 at 0.45 r_s.
 _REBUILD_MOVE = 0.45
+
+
+def as_point(value) -> np.ndarray:
+    """A read-only float64 copy of value, a finite (2,) vector; the caller's array stays writeable."""
+    pt = np.array(value, dtype=float)
+    if pt.shape != (2,):
+        raise ValueError(f"expected a 2-vector, got shape {pt.shape}")
+    if not np.all(np.isfinite(pt)):
+        raise ValueError("vector components must be finite")
+    pt.setflags(write=False)
+    return pt
 
 
 @dataclass(frozen=True)
@@ -159,6 +176,16 @@ def sheep_offsets(state: FlockState, points: np.ndarray | None = None) -> tuple[
     points[:, dog, 0] = state.dog_pos
     diff = np.subtract(state.sheep_pos.T[:, None], points, order="C")
     return diff, np.hypot(diff[0], diff[1])
+
+
+def sheep_distances(state: FlockState, measured: tuple[np.ndarray, np.ndarray], t: int) -> np.ndarray:
+    """Every sheep's distance to sheep t: row t of the state's pass below
+    _LIST_MIN_N, and from there the pass's subtraction and hypot of its own."""
+    if state.n < _LIST_MIN_N:
+        return measured[1][t]
+    pos = state.sheep_pos
+    diff = np.subtract(pos.T, pos[t, :, None], order="C")
+    return np.hypot(diff[0], diff[1])
 
 
 def _neighbour_pairs(diff: np.ndarray, dist: np.ndarray, r_s: float) -> tuple[np.ndarray, ...]:

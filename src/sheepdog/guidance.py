@@ -21,10 +21,10 @@ difference and one ``np.hypot`` from every sheep (below
 flock._LIST_MIN_N only), the dog and the goal. The goal check reads the
 last row; the controller's contact test, its choice of the sheep to
 track and to stand off, and the drive's farthest sheep read the last
-two; the kernel reads the rest. A gather target's
-distances are taken once per step, and again only when a collection
-moves the target within that step. The drive's candidates are the tour
-prefix, built once per phase. The kernel gets one neighbour list per
+two; the kernel reads the rest. flock.sheep_distances gives a gather
+target's row, once per step and again only when a collection moves the
+target within that step. The drive's candidates are the tour prefix,
+built once per phase. The kernel gets one neighbour list per
 episode. The kernel, the dog laws (two floats out) and the goal check
 are called through this module's names, where a tracer can wrap them.
 """
@@ -36,10 +36,9 @@ from enum import Enum
 import numpy as np
 
 from .dog import _length, approach_velocity, steering_command
-from .flock import FlockState, NeighbourList, _snapshot, flock_velocities, pass_points, sheep_offsets
+from .flock import FlockState, NeighbourList, _snapshot, flock_velocities, pass_points, sheep_distances, sheep_offsets
 from .routing import Tour
 from .scenario import GoalSpec, ScenarioConfig
-from .vec import distances
 
 
 class GuidanceMode(Enum):
@@ -106,20 +105,20 @@ class _TourController:
         self.phase = GuidancePhase(GuidanceMode.PROVISIONAL_GATHER if gathering else GuidanceMode.FINAL_DRIVE, nu)
         self._idx = np.array(sorted(self._order[: nu - 1])) if gathering else None
 
-    def __call__(self, state: FlockState, dists: np.ndarray) -> tuple[GuidancePhase, tuple[float, float]]:
-        """Phase and dog velocity for state; dists holds every sheep's
-        distance to the dog (row 0) and to the goal centre (row 1)."""
+    def __call__(self, state: FlockState, measured) -> tuple[GuidancePhase, tuple[float, float]]:
+        """Phase and dog velocity for state, given its pass (flock.sheep_offsets),
+        whose last two rows are taken from the dog and from the goal centre."""
         phase = self.phase
         order = self._order
         scenario = self._scenario
         pos = state.sheep_pos
-        to_dog = dists[0]
+        to_dog = measured[1][-2]
         to_target = None
         if phase.mode is GuidanceMode.APPROACH_FIRST:
             if to_dog[order[0]] <= scenario.dog.r_d:
                 self._collect()
         elif phase.mode is GuidanceMode.PROVISIONAL_GATHER:
-            to_target = distances(pos, pos[order[phase.nu - 1], :, None])
+            to_target = sheep_distances(state, measured, order[phase.nu - 1])
             if to_target.take(self._idx).max() <= scenario.goal.radius:
                 self._collect()
                 to_target = None  # the collection moved the target
@@ -130,9 +129,9 @@ class _TourController:
         if phase.mode is GuidanceMode.PROVISIONAL_GATHER:
             destination = pos[order[phase.nu - 1]]
             if to_target is None:
-                to_target = distances(pos, destination[:, None])
+                to_target = sheep_distances(state, measured, order[phase.nu - 1])
         else:
-            destination, to_target = scenario.goal.center, dists[1]
+            destination, to_target = scenario.goal.center, measured[1][-1]
         return phase, steering_command(state, scenario.dog, self._idx, destination, to_dog, to_target)
 
 
@@ -163,7 +162,7 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
         dog_x, dog_y = state.dog_pos.tolist()
         near = NeighbourList()
         for k in range(scenario.horizon):
-            phase, (vx, vy) = controller(state, measured[1][-2:])
+            phase, (vx, vy) = controller(state, measured)
             # The controller hands out a new phase object only when the phase changes.
             if not phases or phase is not phases[-1][1]:
                 phases.append((k, phase))

@@ -9,8 +9,7 @@ from functools import reduce
 import numpy as np
 
 from .dog import DogParams
-from .flock import SheepParams
-from .vec import as_point
+from .flock import SheepParams, as_point
 
 
 @dataclass(frozen=True, eq=False)

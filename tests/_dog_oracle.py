@@ -5,9 +5,9 @@ These are the drive and approach laws written on numpy 2-vectors with
 `dog.dog_velocity` and `dog.approach_velocity` must reproduce them bit
 for bit. `candidate_index`, `distances_to`, `select`, `farthest_from`
 and `nearest_to_dog` are not references: they build the index array
-`steering_command` takes and call the package's own distances and
-selection, so tests can pick the sheep that `steering_command` steers
-by and hand the laws their distance rows.
+`steering_command` takes, measure with `_flock_oracle.offsets` and
+call the package's own selection, so tests can pick the sheep that
+`steering_command` steers by and hand the laws their distance rows.
 """
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from typing import Iterable
 
 import numpy as np
 
+from _flock_oracle import offsets
 from sheepdog.dog import DogParams, _pick
-from sheepdog.flock import FlockState
-from sheepdog.vec import EPS, UNIT_X, distances
+from sheepdog.flock import EPS, UNIT_X, FlockState
 
 
 def candidate_index(candidates: Iterable[int], n: int) -> np.ndarray | None:
@@ -29,7 +29,7 @@ def candidate_index(candidates: Iterable[int], n: int) -> np.ndarray | None:
 
 def distances_to(state: FlockState, point) -> np.ndarray:
     """Every sheep's distance to point, as the episode loop hands it to the dog's laws."""
-    return distances(state.sheep_pos, np.reshape(np.asarray(point, dtype=float), (2, 1)))
+    return offsets(state.sheep_pos, np.reshape(np.asarray(point, dtype=float), (2, 1)))[1]
 
 
 def select(state: FlockState, idx: np.ndarray | None, point, farthest: bool) -> int:

@@ -3,14 +3,27 @@
 `dense_flock_velocities` evaluates every (i, j) pair on (N, N, 2)
 arrays and masks the non-neighbors to zero; `flock.flock_velocities`
 must reproduce it bit for bit. It copies the state's arrays to C order
-first, because its axis sums follow memory layout.
+first, because its axis sums follow memory layout. `offsets` is the
+reference for the package's distance rows: the pass of
+`flock.sheep_offsets` and `flock.sheep_distances` must give its bits.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from sheepdog.flock import FlockState, SheepParams
-from sheepdog.vec import EPS, UNIT_X
+from sheepdog.flock import EPS, UNIT_X, FlockState, SheepParams
+
+
+def offsets(pos: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Differences of every row of pos, shape (N, 2), from each point of
+    points, shape (..., 2, 1), as shape (..., 2, N), and their distances,
+    shape (..., N).
+
+    The differences come out in one C-ordered array, so np.hypot reads a
+    contiguous row per axis and point.
+    """
+    diff = np.subtract(pos.T, points, order="C")
+    return diff, np.hypot(diff[..., 0, :], diff[..., 1, :])
 
 
 def neighbor_set(i: int, state: FlockState, r_s: float) -> tuple[int, ...]:

@@ -218,16 +218,29 @@ def test_summary_means_add_left_to_right_from_zero():
     assert s.mean_distance_successes == s.mean_distance_all == left_to_right / 3
 
 
+def _other_float_sums(source: str) -> list[int]:
+    """Lines of source that call sum() or math.fsum, or import statistics."""
+    def banned(node) -> bool:
+        if isinstance(node, ast.Call):
+            func = node.func
+            return (isinstance(func, ast.Name) and func.id in ("sum", "fsum")
+                    or isinstance(func, ast.Attribute) and func.attr == "fsum")
+        if isinstance(node, ast.Import):
+            return any(alias.name.partition(".")[0] == "statistics" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "statistics"
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if banned(node))
+
+
 def test_no_module_calls_the_builtin_sum():
     # The package adds floats left to right, so that its bits do not depend
-    # on the interpreter; sum() compensates its rounding from Python 3.12 on.
+    # on the interpreter; sum() compensates its rounding from Python 3.12 on,
+    # and math.fsum and the statistics module round otherwise as well.
+    caught = "sum(a)\nmath.fsum(a)\nfsum(a)\nimport statistics\nfrom statistics import mean\nimport os, statistics.x\n"
+    assert _other_float_sums(caught) == [1, 2, 3, 4, 5, 6]
+    assert _other_float_sums("math.hypot(a, b)\nnp.sum(a)\nimport math\nfrom math import isfinite\n") == []
     modules = sorted(Path(experiments.__file__).parent.glob("*.py"))
-    calls = [
-        f"{path.name}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
-    ]
+    calls = [f"{path.name}:{line}" for path in modules for line in _other_float_sums(path.read_text())]
     assert len(modules) > 1 and calls == []
 
 

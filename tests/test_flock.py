@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _flock_oracle import dense_flock_velocities, neighbor_set, sheep_velocity
+from _flock_oracle import dense_flock_velocities, neighbor_set, offsets, sheep_velocity
 from _recorder import Recorder
 from sheepdog import flock, guidance
 from sheepdog.experiments import run_trial
@@ -16,13 +16,13 @@ from sheepdog.flock import (
     SheepParams,
     flock_velocities,
     pass_points,
+    sheep_distances,
     sheep_offsets,
     step_flock,
 )
 from sheepdog.guidance import run_fat
 from sheepdog.placement import prepare_start_state
 from sheepdog.scenario import ScenarioConfig
-from sheepdog.vec import offsets
 
 DEFAULTS = SheepParams()
 
@@ -205,6 +205,33 @@ def test_one_pass_gives_the_episode_rows_and_the_kernel_bits(flock_and_params, g
             before = diff.tobytes(), dist.tobytes()
             given_pass = flock_velocities(state, params, None, measured)
             assert given_pass.tobytes() == flock_velocities(state, params).tobytes()
+            assert (diff.tobytes(), dist.tobytes()) == before
+
+
+@settings(max_examples=50, deadline=None)
+@given(flocks(), st.integers(0, 39))
+@example((make_state([[3.0, 4.0], [10.0, -2.0], [3.0, 4.0]], [0.0, 0.0]), DEFAULTS), 2)
+@example((make_state([[-0.0, 0.0], [0.0, -0.0], [-0.0, 5.0]], [0.0, -0.0]), DEFAULTS), 1)
+@example((make_state([[0.0, 0.0], [1.5e308, 1.5e308], [1.3e154, -1.3e154]], [0.0, 1.0]), DEFAULTS), 0)
+def test_sheep_distances_are_bitwise_the_offsets_reference(flock_and_params, t):
+    # The gather measures every sheep from its target, sheep t: below
+    # _LIST_MIN_N that is row t of the state's pass, from there a
+    # subtraction of its own. Either way it must give the reference's bits
+    # and write to no row of the pass.
+    state = flock_and_params[0]
+    pos = state.sheep_pos
+    t %= state.n
+    # Legs of 1.5e308 overflow the hypot to inf; the episode ignores that
+    # overflow, and so does this test.
+    far = np.abs(pos).max() > 1e154
+    for list_min_n in BOTH_PAIR_SEARCHES:
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore" if far else "warn"):
+            mp.setattr(flock, "_LIST_MIN_N", list_min_n)
+            diff, dist = measured = sheep_offsets(state, pass_points(state.n, np.zeros(2)))
+            before = diff.tobytes(), dist.tobytes()
+            got = sheep_distances(state, measured, t)
+            assert got.tobytes() == offsets(pos, pos[t, :, None])[1].tobytes()
+            assert np.shares_memory(got, dist) == (state.n < list_min_n)
             assert (diff.tobytes(), dist.tobytes()) == before
 
 

@@ -34,6 +34,17 @@ CASES = {
         ["simulate", "--method", "proposed:exchange", "--set", "N=40", "--set", "T=300"],
         "2174affb3c4515f6b748f46838824e05975bb6b222d159dbcfceabb20a092cf7",
     ),
+    # Either side of the kernel's neighbour-list size: at N = 31 the gather
+    # reads its target's distances from the pass, at N = 32 it measures
+    # them itself. Both collect sheep on consecutive steps.
+    "simulate-proposed-reverse-n31": (
+        ["simulate", "--method", "proposed:reverse", "--set", "N=31", "--set", "T=400"],
+        "fc034310866132b2f60e0b8ab2bba96a0373cf22049b6f9ba13ffcb25db71990",
+    ),
+    "simulate-proposed-reverse-n32": (
+        ["simulate", "--method", "proposed:reverse", "--set", "N=32", "--set", "T=400"],
+        "54d479cb2dc51c6f799c1df181ffaef92e58dcfb3e5a972eae1869fb49b8b4e1",
+    ),
     "batch": (
         ["batch", "--grid", "10,20;0.0012", "--trials", "2", "--set", "T=2000"],
         "742bf814c15cf9fdfc59d4bd36aac1a76869ce6d2e7c229424a526af62437c45",

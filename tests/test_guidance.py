@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import _dog_oracle as dog_oracle
 from _dog_oracle import farthest_from, nearest_to_dog
-from _flock_oracle import dense_flock_velocities
+from _flock_oracle import dense_flock_velocities, offsets
 from _recorder import Recorder, has_placeholder_traces, run_recorded
 from sheepdog import flock, guidance
 from sheepdog.dog import dog_velocity
@@ -22,7 +22,6 @@ from sheepdog.guidance import (
 from sheepdog.placement import prepare_start_state
 from sheepdog.routing import RlsConfig, Tour, TourInstance, rls_optimize
 from sheepdog.scenario import GoalSpec, ScenarioConfig, stream_seed
-from sheepdog.vec import distances
 
 # Forward order used by the monotonicity invariant.
 MODE_ORDER = (
@@ -56,7 +55,7 @@ def test_goal_reached_trivials():
     goal = GoalSpec(center=np.zeros(2), radius=20.0)
 
     def reached(sheep_pos):
-        return goal_reached(distances(np.array(sheep_pos), goal.center[:, None]), goal)
+        return goal_reached(offsets(np.array(sheep_pos), goal.center[:, None])[1], goal)
 
     assert reached([[0.0, 0.0], [1.0, 1.0]])
     assert reached([[20.0, 0.0]])

@@ -1,11 +1,10 @@
-"""Vector helpers: point validation, and the oracle's norms and coincident-point fallback."""
+"""Planar helpers: point validation, and the oracle's norms and coincident-point fallback."""
 import numpy as np
 import pytest
 
 from _dog_oracle import clamped_norm, safe_unit
-from sheepdog.flock import FlockState
+from sheepdog.flock import EPS, UNIT_X, FlockState, as_point
 from sheepdog.scenario import GoalSpec, ScenarioConfig
-from sheepdog.vec import EPS, UNIT_X, as_point
 
 
 def norm(v: np.ndarray) -> float:

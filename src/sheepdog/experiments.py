@@ -13,7 +13,7 @@ from operator import add
 from .guidance import RunRecord, run_fat, run_proposed
 from .placement import prepare_start_state
 from .routing import STRATEGIES, RlsConfig, RlsResult, TourInstance, rls_optimize
-from .scenario import ScenarioConfig, fmt, stream_seed
+from .scenario import ScenarioConfig, fmt, rho_key, stream_seed
 
 METHOD_FAT = "fat"
 
@@ -124,11 +124,22 @@ def run_batch(
 ) -> tuple[list[TrialRecord], list[BatchSummary]]:
     """Paired trials for every grid cell; returns per-trial records and summaries."""
     methods = ([METHOD_FAT] if include_fat else []) + [proposed_method(s) for s in strategies]
-    if not methods:
-        raise ValueError("nothing to run: no methods selected")
-    records: list[TrialRecord] = []
+    if not methods or len(set(methods)) < len(methods):
+        raise ValueError(f"bad methods {methods}: none selected, or one given more than once")
+    # Every cell is checked before any trial runs. Its seed streams come from (N, rho_key(rho)), so a
+    # cell that repeats another's N and printed rho or rho key would run the same trials again.
+    configs, seen = [], set()
     for n, rho in grid:
-        config = replace(base, n_sheep=n, rho=rho)
+        try:
+            configs.append(replace(base, n_sheep=n, rho=rho))
+        except ValueError as exc:
+            raise ValueError(f"bad grid cell N={n}, rho={rho}: {exc}") from exc
+        cell = {(n, fmt(rho)), (n, rho_key(rho))}  # after the config check: round(inf) raises
+        if seen & cell:
+            raise ValueError(f"bad grid cell N={n}, rho={rho}: repeats an earlier cell's printed rho or seed stream")
+        seen |= cell
+    records: list[TrialRecord] = []
+    for config in configs:
         for trial in range(trials):
             outcomes = run_trial(config, methods, base_seed, trial, iterations)
             records.extend(_record(config, trial, outcomes[m]) for m in methods)

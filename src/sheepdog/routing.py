@@ -3,7 +3,8 @@
 The cost of a visiting order is the length of the open path that starts
 at the dog, passes every sheep in order, and ends at the goal. Orders
 are improved by randomized local search: propose one mutation per
-iteration and keep it whenever it is not worse. The search keeps the
+iteration and keep it whenever it is not worse. A search draws every
+iteration's position pair up front, in one call. It keeps the
 path, its edges (edges[k] is the table entry from path[k] to path[k + 1])
 and their running totals, and moves the path in place on acceptance. A
 mutation changes at most four edges, so a candidate whose O(1) change in
@@ -211,8 +212,6 @@ _KERNELS = {
 # exceeds this fraction of the current cost. Both full path sums carry a
 # rounding error near (2N + 8) * 2**-53 * cost, orders of magnitude below.
 _REJECT_MARGIN = 1e-9
-# Position pairs are drawn this many at a time.
-_DRAW_CHUNK = 4096
 # After this many candidates in a row score above the margin, the next
 # ones are scored a window at a time. A window starts at _FIRST_WINDOW
 # pairs and doubles, up to _MAX_WINDOW, until one pair scores at or under
@@ -222,21 +221,17 @@ _FIRST_WINDOW = 256
 _MAX_WINDOW = 1024
 
 
-def _drawn_positions(rng: np.random.Generator, n: int, iterations: int):
-    """Uniform unordered pairs a < b of distinct positions, drawn in chunks.
+def _drawn_positions(rng: np.random.Generator, n: int, iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform unordered pairs a < b of distinct positions, one per iteration.
 
-    Yields each chunk's arrays of a and of b, the two columns of one
-    array of draws. Each pair takes two draws, a from [0, n) and b from
+    Returns the arrays of a and of b, from the two columns of one array
+    of draws. Each pair takes two draws, a from [0, n) and b from
     [0, n - 1), and b skips past a, so the stream is the same as drawing
     one pair at a time.
     """
-    highs = np.array([n, n - 1])
-    for start in range(0, iterations, _DRAW_CHUNK):
-        draws = rng.integers(0, highs, size=(min(_DRAW_CHUNK, iterations - start), 2))
-        a, b = draws.T
-        b += b >= a
-        a[...], b[...] = np.minimum(a, b), np.maximum(a, b)
-        yield a, b
+    a, b = rng.integers(0, (n, n - 1), size=(iterations, 2)).T
+    b += b >= a
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _first_hit(deltas, table: np.ndarray, path: list[int], a: np.ndarray, b: np.ndarray,
@@ -290,39 +285,36 @@ def rls_optimize(instance: TourInstance, config: RlsConfig) -> RlsResult:
     if n >= 2:
         margin = _REJECT_MARGIN * cost
         quiet = 0  # how many of the latest candidates in a row scored above the margin
-        first = 0  # iteration of the chunk's first pair
-        for chunk_a, chunk_b in _drawn_positions(rng, n, config.iterations):
-            i, k = 0, chunk_a.size
-            while i < k:
-                if quiet >= _WINDOW_AFTER:
-                    hit = _first_hit(deltas, table_array, path, chunk_a, chunk_b, i, margin)
-                    quiet += hit - i
-                    if hit == k:
-                        break
-                    # The scalar stretch below scores the hit again; quiet
-                    # counts from just before it, so the stretch runs on
-                    # _WINDOW_AFTER candidates past the hit.
-                    i, quiet = hit, -1
-                stop = min(k, i + _WINDOW_AFTER - quiet)
-                last = i - 1 - quiet  # index of the latest hit
-                for j, a, b in zip(range(i, stop), chunk_a[i:stop].tolist(), chunk_b[i:stop].tolist()):
-                    if delta(table, path, edges, a, b) <= margin:
-                        last = j
-                        # A move first changes the edge into order position a, so
-                        # the candidate's sum goes on from the current total at path[a].
-                        changed = new_edges(table, path, edges, a, b)
-                        tail = list(accumulate(changed + edges[b + 2 :], initial=totals[a]))
-                        if tail[-1] <= cost:
-                            move(path, a, b)
-                            edges[a : b + 2] = changed
-                            totals[a:] = tail
-                            cost = tail[-1]
-                            margin = _REJECT_MARGIN * cost
-                            accepted_at.append(first + j)
-                            costs.append(cost)
-                quiet = stop - 1 - last
-                i = stop
-            first += k
+        pairs_a, pairs_b = _drawn_positions(rng, n, config.iterations)
+        i = 0
+        while i < config.iterations:
+            if quiet >= _WINDOW_AFTER:
+                i = _first_hit(deltas, table_array, path, pairs_a, pairs_b, i, margin)
+                if i == config.iterations:
+                    break
+                # The scalar stretch below scores the hit again; quiet
+                # counts from just before it, so the stretch runs on
+                # _WINDOW_AFTER candidates past the hit.
+                quiet = -1
+            stop = min(config.iterations, i + _WINDOW_AFTER - quiet)
+            last = i - 1 - quiet  # index of the latest hit
+            for j, a, b in zip(range(i, stop), pairs_a[i:stop].tolist(), pairs_b[i:stop].tolist()):
+                if delta(table, path, edges, a, b) <= margin:
+                    last = j
+                    # A move first changes the edge into order position a, so
+                    # the candidate's sum goes on from the current total at path[a].
+                    changed = new_edges(table, path, edges, a, b)
+                    tail = list(accumulate(changed + edges[b + 2 :], initial=totals[a]))
+                    if tail[-1] <= cost:
+                        move(path, a, b)
+                        edges[a : b + 2] = changed
+                        totals[a:] = tail
+                        cost = tail[-1]
+                        margin = _REJECT_MARGIN * cost
+                        accepted_at.append(j)
+                        costs.append(cost)
+            quiet = stop - 1 - last
+            i = stop
 
     trace = np.repeat(costs, np.diff([*accepted_at, config.iterations]))
     trace.setflags(write=False)

@@ -1,8 +1,8 @@
 """Reference tour search, kept for tests only.
 
 `mutate` draws one position pair at a time with two scalar draws, so
-`_reference_rls` in `test_routing.py` checks the package's chunked draws
-against an independent stream, and `_path_cost` re-sums a full path
+`_reference_rls` in `test_routing.py` checks the package's one draw per
+search against an independent stream, and `_path_cost` re-sums a full path
 from the dog, apart from the package's running totals.
 The three tuple moves build each mutated order from scratch, apart from
 the package's in-place moves on its path list.

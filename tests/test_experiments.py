@@ -1,10 +1,12 @@
 """Paired trials, grid batches, and the CSV tables built from them."""
 import ast
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from _recorder import has_placeholder_traces, run_recorded
 from sheepdog import experiments
@@ -151,6 +153,65 @@ def test_batch_without_fat_or_methods():
     with pytest.raises(ValueError):
         run_batch(tiny_config(), grid=[(2, 0.02)], trials=1,
                   strategies=[], base_seed=0, include_fat=False)
+
+
+@pytest.mark.parametrize(
+    ("grid", "strategies", "message"),
+    [
+        ([(3, 0.01), (0, 0.01)], ["reverse"], "bad grid cell N=0, rho=0.01: "),
+        ([(3, 0.01), (2, 0.02), (3, 0.01)], ["reverse"], "repeats an earlier cell"),
+        # The same printed rho, rho * 1e10 rounded apart.
+        ([(3, 0.123456789), (3, 0.1234567891)], ["reverse"], "repeats an earlier cell"),
+        # Printed apart, rho * 1e10 rounded alike: the same seed streams.
+        ([(3, 1.00000001e-6), (3, 1.00000002e-6)], ["reverse"], "repeats an earlier cell"),
+        ([(3, 0.01)], ["reverse", "reverse"], "given more than once"),
+    ],
+)
+def test_batch_rejects_its_arguments_before_any_trial(monkeypatch, grid, strategies, message):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before the batch's arguments were checked")
+
+    monkeypatch.setattr(experiments, "run_trial", no_trial)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_batch(ScenarioConfig(), grid, 2, strategies, 0, 50)
+
+
+@settings(max_examples=15, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.sampled_from([0.01, 0.02, 0.05])), min_size=1, max_size=2, unique=True),
+    st.integers(1, 40),
+    st.integers(1, 100),
+    st.integers(1, 2),
+    st.booleans(),
+    st.permutations(["reverse", "exchange", "jump"]).flatmap(lambda s: st.integers(0, 3).map(lambda k: s[:k])),
+    st.integers(0, 2**32),
+)
+def test_a_batch_equals_its_cells_and_its_methods_run_apart(grid, horizon, iterations, trials, fat, strategies,
+                                                            base_seed):
+    # Seeds are pure per (cell, trial, stream), so no split of a batch's
+    # work changes a record.
+    if not fat and not strategies:
+        strategies = ["reverse"]
+    base = ScenarioConfig(horizon=horizon)
+
+    def batch(cells, strategies=strategies, include_fat=fat):
+        return run_batch(base, cells, trials, strategies, base_seed, iterations, include_fat)
+
+    def rows(text):  # a table without its header line
+        return text.partition("\n")[2]
+
+    records, summaries = batch(grid)
+    cells = [batch([cell]) for cell in grid]
+    assert records == [r for recs, _ in cells for r in recs]
+    assert records_csv(records) == records_csv([]) + "".join(rows(records_csv(recs)) for recs, _ in cells)
+    assert summary_csv(summaries) == summary_csv([]) + "".join(rows(summary_csv(sums)) for _, sums in cells)
+    if fat and strategies:
+        fat_records, fat_summaries = batch(grid, [], True)
+        proposed_records, proposed_summaries = batch(grid, strategies, False)
+        k = len(strategies)
+        assert records == [r for i, f in enumerate(fat_records) for r in [f, *proposed_records[i * k : (i + 1) * k]]]
+        assert summary_csv(summaries) == summary_csv(
+            [s for i, f in enumerate(fat_summaries) for s in [f, *proposed_summaries[i * k : (i + 1) * k]]])
 
 
 @pytest.mark.parametrize("base_seed", [0, 1])

@@ -10,6 +10,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from _routing_oracle import (
     _MOVES,
     BRUTE_FORCE_LIMIT,
+    _draw_positions,
     _path_cost,
     brute_force_tour,
     exchange_positions,
@@ -246,13 +247,25 @@ def assert_matches_reference(instance, config):
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 20, 50, 100])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_rls_matches_full_resum_oracle(strategy, n):
-    # 4500 iterations cross the boundary of one chunk of drawn positions.
+    # A search draws all of its pairs in one call; 10,000 iterations is
+    # the CLI's default, the length of the searches that plans run.
     for k, make in enumerate((box_instance, lattice_instance)):
         rng = np.random.default_rng(1000 * n + k)
         assert_matches_reference(make(rng, n), RlsConfig(strategy, iterations=4500, seed=n + k))
-    for iterations in (1, 7):
+    for iterations in (1, 7, *((10_000,) if n in (2, 20) else ())):
         rng = np.random.default_rng(n)
         assert_matches_reference(box_instance(rng, n), RlsConfig(strategy, iterations, seed=3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 100])
+def test_drawn_positions_are_the_oracles_pairs_one_at_a_time(n):
+    # One call gives every iteration's pair, and leaves the stream where
+    # drawing them one pair at a time would.
+    for iterations in (1, 4095, 4096, 4097, 10_000):
+        rng, ref = np.random.default_rng(iterations + n), np.random.default_rng(iterations + n)
+        a, b = routing._drawn_positions(rng, n, iterations)
+        assert list(zip(a.tolist(), b.tolist())) == [_draw_positions(ref, n) for _ in range(iterations)]
+        assert rng.integers(2**62) == ref.integers(2**62)
 
 
 def lattice_points(lattice, scale):

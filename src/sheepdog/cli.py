@@ -25,16 +25,6 @@ from .routing import STRATEGIES, RlsConfig, RlsResult, TourInstance, rls_optimiz
 from .scenario import NUMBER, ScenarioConfig, apply_assignments, default_scenario, fmt, parse_config, stream_seed
 
 
-def _check_numbers(args: argparse.Namespace) -> None:
-    """Reject out-of-range numeric options before any side effect."""
-    if args.seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    if args.iterations < 1:
-        raise ValueError(f"--iterations must be positive, got {args.iterations}")
-    if getattr(args, "trials", 1) < 1:
-        raise ValueError(f"--trials must be positive, got {args.trials}")
-
-
 def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     cfg = default_scenario()
     if args.config is not None:
@@ -196,7 +186,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     # The one place where a usage or I/O problem becomes an error line and exit 2, and the
     # one place that writes: --out is made only after the command has rendered every file.
     try:
-        _check_numbers(args)
         files = args.func(args, _load_scenario(args))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -79,6 +79,8 @@ def run_trial(
 ) -> dict[str, MethodOutcome]:
     """Run every method once from the shared warmed start state. sink, if given, sees
     the states of each method's episode in turn; a batch keeps no states and passes none."""
+    if iterations < 1:  # checked here too: a trial with no proposed method builds no RlsConfig
+        raise ValueError(f"iterations must be positive, got {iterations}")
     start = prepare_start_state(config, base_seed=base_seed, trial=trial)
     instance = TourInstance(
         dog_start=start.dog_pos,
@@ -123,6 +125,9 @@ def run_batch(
     include_fat: bool = True,
 ) -> tuple[list[TrialRecord], list[BatchSummary]]:
     """Paired trials for every grid cell; returns per-trial records and summaries."""
+    for name, count in (("trials", trials), ("iterations", iterations)):
+        if count < 1:
+            raise ValueError(f"{name} must be positive, got {count}")
     methods = ([METHOD_FAT] if include_fat else []) + [proposed_method(s) for s in strategies]
     if not methods or len(set(methods)) < len(methods):
         raise ValueError(f"bad methods {methods}: none selected, or one given more than once")

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 import numpy as np
 
@@ -74,7 +73,7 @@ def fmt(x: float) -> str:
 
 _PAIR = "pair"  # two comma-separated floats
 
-# Config file keys in canonical dump order: key -> (field path, kind).
+# Config file keys in README's order: key -> (field path, kind).
 _CONFIG_KEYS = {
     "N": (("n_sheep",), int),
     "rho": (("rho",), float),
@@ -93,21 +92,6 @@ _CONFIG_KEYS = {
     "K_d3": (("dog", "k_goal_repulsion"), float),
     "warmup_steps": (("warmup_steps",), int),
 }
-
-
-def _text(value, kind) -> str:
-    if kind is int:
-        return str(value)
-    if kind is float:
-        return fmt(value)
-    return f"{fmt(value[0])},{fmt(value[1])}"
-
-
-def dump_config(cfg: ScenarioConfig) -> str:
-    """Render cfg in the key=value format accepted by parse_config."""
-    return "".join(
-        f"{key} = {_text(reduce(getattr, path, cfg), kind)}\n" for key, (path, kind) in _CONFIG_KEYS.items()
-    )
 
 
 def _parse(raw: str, key: str, kind) -> int | float | np.ndarray:
@@ -165,6 +149,8 @@ def stream_seed(base_seed: int, n: int, rho: float, trial: int, stream: str) -> 
     Pure in its arguments, so adding grid cells or trials never perturbs
     the streams of existing ones.
     """
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
     label = zlib.crc32(stream.encode("ascii"))
     ss = np.random.SeedSequence(
         entropy=[int(base_seed), int(n), rho_key(rho), int(trial), label]

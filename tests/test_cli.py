@@ -15,7 +15,8 @@ from _recorder import run_recorded, trajectory_text
 from sheepdog import cli
 from sheepdog.cli import TRAJECTORY_BLOCK, _TrajectoryRows, run_cli
 from sheepdog.experiments import ALL_METHODS, run_trial
-from sheepdog.scenario import _CONFIG_KEYS, _PAIR, apply_assignments, default_scenario, dump_config, fmt
+from sheepdog.scenario import _CONFIG_KEYS, _PAIR, apply_assignments, default_scenario, fmt
+from test_scenario import dump_config
 
 TINY = ["--set", "N=3", "--set", "rho=0.01", "--set", "T=5000"]
 

@@ -1,4 +1,6 @@
 """Dog steering: target selection, the three-term control law, and approach."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import _dog_oracle as oracle
 from _dog_oracle import farthest_from, nearest_to_dog
 from sheepdog.dog import DogParams, approach_velocity, dog_velocity, steering_command
-from sheepdog.flock import FlockState
+from sheepdog.flock import EPS, FlockState
 
 DEFAULTS = DogParams()
 
@@ -190,6 +192,11 @@ def steering_cases(draw):
 @given(steering_cases())
 # math.hypot(3.6, 20.8) and 31.086 * 31.086 each miss C's hypot and pow by an ulp.
 @example((make_state([[-31.086, 0.0]], [0.0, 0.0]), DEFAULTS, [0], np.array([-3.6, -20.8]), 0, 0))
+# The dog stands exactly on a sheep: a zero leg, which points along +x.
+@example((make_state([[10.0, -10.0], [3.0, 4.0]], [10.0, -10.0]), DEFAULTS, [0, 1], np.array([0.0, 0.0]), 0, 0))
+# Subnormal legs, to the sheep and to the destination.
+@example((make_state([[0.0, 0.0], [1e-310, -2e-310]], [5e-324, 5e-324]), DEFAULTS, [0, 1],
+          np.array([-1e-320, 0.0]), 1, 0))
 def test_steering_laws_are_bitwise_the_vector_oracle(case):
     state, params, candidates, destination, tracked, nearest = case
     idx = np.array(sorted(set(candidates)))
@@ -221,6 +228,26 @@ def test_huge_distances_overflow_like_the_vector_oracle():
             drive_ref = oracle.dog_velocity(state, DEFAULTS, 0, 0, np.zeros(2))
         assert np.array(approach).tobytes() == approach_ref.tobytes()
         assert np.array(drive).tobytes() == drive_ref.tobytes()
+
+
+def test_float_power_squares_as_the_laws_pow_does():
+    # The stand-off square is float ** 2, C's pow; np.float_power calls the
+    # same pow, where np.power(x, 2.0) is x * x. A numpy or libm whose loop
+    # rounds apart fails here before any batched law could use it.
+    rng = np.random.default_rng(0)
+    x = np.concatenate((10.0 ** rng.uniform(-304.0, 304.0, 200_000), [EPS, 1e154, 1.4e154, 1e200, 5e-324, 0.0]))
+    with np.errstate(over="ignore"):
+        got = np.float_power(x, 2.0)
+
+    def square(v):
+        try:
+            return v**2
+        except OverflowError:
+            return math.inf
+
+    want = np.array([square(v) for v in x.tolist()])
+    assert np.isinf(got).any() and (got == 0.0).any()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_params_validation():

@@ -156,24 +156,40 @@ def test_batch_without_fat_or_methods():
 
 
 @pytest.mark.parametrize(
-    ("grid", "strategies", "message"),
+    ("grid", "strategies", "message", "trials", "iterations"),
     [
-        ([(3, 0.01), (0, 0.01)], ["reverse"], "bad grid cell N=0, rho=0.01: "),
-        ([(3, 0.01), (2, 0.02), (3, 0.01)], ["reverse"], "repeats an earlier cell"),
+        ([(3, 0.01), (0, 0.01)], ["reverse"], "bad grid cell N=0, rho=0.01: ", 2, 50),
+        ([(3, 0.01), (2, 0.02), (3, 0.01)], ["reverse"], "repeats an earlier cell", 2, 50),
         # The same printed rho, rho * 1e10 rounded apart.
-        ([(3, 0.123456789), (3, 0.1234567891)], ["reverse"], "repeats an earlier cell"),
+        ([(3, 0.123456789), (3, 0.1234567891)], ["reverse"], "repeats an earlier cell", 2, 50),
         # Printed apart, rho * 1e10 rounded alike: the same seed streams.
-        ([(3, 1.00000001e-6), (3, 1.00000002e-6)], ["reverse"], "repeats an earlier cell"),
-        ([(3, 0.01)], ["reverse", "reverse"], "given more than once"),
+        ([(3, 1.00000001e-6), (3, 1.00000002e-6)], ["reverse"], "repeats an earlier cell", 2, 50),
+        ([(3, 0.01)], ["reverse", "reverse"], "given more than once", 2, 50),
+        # No trials would give tables of headers alone.
+        ([(3, 0.01)], ["reverse"], "trials must be positive, got 0", 0, 50),
+        ([(3, 0.01)], ["reverse"], "trials must be positive, got -1", -1, 50),
+        # Fat alone plans nothing, so no search would reject the count.
+        ([(3, 0.01)], [], "iterations must be positive, got 0", 2, 0),
+        ([(3, 0.01)], ["reverse"], "iterations must be positive, got 0", 2, 0),
     ],
 )
-def test_batch_rejects_its_arguments_before_any_trial(monkeypatch, grid, strategies, message):
+def test_batch_rejects_its_arguments_before_any_trial(monkeypatch, grid, strategies, message, trials, iterations):
     def no_trial(*args, **kwargs):
         raise AssertionError("a trial ran before the batch's arguments were checked")
 
     monkeypatch.setattr(experiments, "run_trial", no_trial)
     with pytest.raises(ValueError, match=re.escape(message)):
-        run_batch(ScenarioConfig(), grid, 2, strategies, 0, 50)
+        run_batch(ScenarioConfig(), grid, trials, strategies, 0, iterations)
+
+
+def test_trial_rejects_zero_iterations_before_placement(monkeypatch):
+    # A fat-only trial plans nothing, so no search would reject the count.
+    def no_placement(*args, **kwargs):
+        raise AssertionError("the flock was placed before the trial's arguments were checked")
+
+    monkeypatch.setattr(experiments, "prepare_start_state", no_placement)
+    with pytest.raises(ValueError, match=re.escape("iterations must be positive, got 0")):
+        run_trial(tiny_config(), [METHOD_FAT], 0, 0, 0)
 
 
 @settings(max_examples=15, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from sheepdog import flock
+from sheepdog import flock, placement
 from sheepdog.flock import FlockState, SheepParams
 from sheepdog.placement import (
     initial_placement,
@@ -92,6 +92,15 @@ def test_prepare_start_state_checks_the_flock_twice(monkeypatch):
     monkeypatch.setattr(FlockState, "__post_init__", counted)
     prepare_start_state(ScenarioConfig(n_sheep=6, rho=0.0012), base_seed=0)
     assert len(checks) == 2
+
+
+def test_a_negative_base_seed_is_rejected_before_placement(monkeypatch):
+    def no_placement(*args, **kwargs):
+        raise AssertionError("the flock was placed before its seed was checked")
+
+    monkeypatch.setattr(placement, "initial_placement", no_placement)
+    with pytest.raises(ValueError, match="base_seed must be non-negative, got -1"):
+        prepare_start_state(ScenarioConfig(n_sheep=6, rho=0.0012), base_seed=-1)
 
 
 def test_prepare_start_state_paired_and_trial_separated():

@@ -1,5 +1,6 @@
 """Scenario configuration: defaults, file format round-trip, seed streams."""
 import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,25 @@ from sheepdog.scenario import (
     ScenarioConfig,
     apply_assignments,
     default_scenario,
-    dump_config,
+    fmt,
     parse_config,
     stream_seed,
 )
+
+
+def _text(value, kind) -> str:
+    if kind is int:
+        return str(value)
+    if kind is float:
+        return fmt(value)
+    return f"{fmt(value[0])},{fmt(value[1])}"
+
+
+def dump_config(cfg: ScenarioConfig) -> str:
+    """Render cfg in the key=value format accepted by parse_config, its keys in table order."""
+    return "".join(
+        f"{key} = {_text(reduce(getattr, path, cfg), kind)}\n" for key, (path, kind) in scenario._CONFIG_KEYS.items()
+    )
 
 
 def test_defaults_match_reference_parameter_set():
@@ -218,3 +234,9 @@ def test_stream_seed_unaffected_by_other_cells():
     _ = [stream_seed(0, 50, 0.0006, t, "placement") for t in range(100)]
     after = [stream_seed(0, 20, 0.0012, t, "placement") for t in range(5)]
     assert before == after
+
+
+def test_stream_seed_rejects_a_negative_base_seed():
+    # Every placement and plan seed goes through here.
+    with pytest.raises(ValueError, match="base_seed must be non-negative, got -1"):
+        stream_seed(-1, 20, 0.0012, 0, "placement")

@@ -1,12 +1,16 @@
 """Command line front end: plan a tour, simulate one episode, or run a batch.
 
 A command returns its files as {name: text} in write order, where a text is a str or a list of str
-blocks; only run_cli makes --out and writes them, a block at a time.
+blocks; only run_cli writes them into --out, all or nothing, a block at a time.
 """
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from .experiments import (
@@ -51,19 +55,19 @@ def _trace_text(result: RlsResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _key_values(**fields) -> str:
+    """The summary files' format: one key=value line per field, in call order, floats through fmt."""
+    return "".join(f"{key}={fmt(value) if isinstance(value, float) else value}\n" for key, value in fields.items())
+
+
 def _cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str]:
+    # The search's numbers are checked before the warm-up runs.
+    config = RlsConfig(args.strategy, args.iterations,
+                       stream_seed(args.seed, cfg.n_sheep, cfg.rho, 0, f"plan:{args.strategy}"))
     start = prepare_start_state(cfg, base_seed=args.seed)
-    instance = TourInstance(start.dog_pos, start.sheep_pos, cfg.goal.center)
-    seed = stream_seed(args.seed, cfg.n_sheep, cfg.rho, 0, f"plan:{args.strategy}")
-    result = rls_optimize(instance, RlsConfig(args.strategy, args.iterations, seed))
-    summary = (
-        f"strategy={args.strategy}\n"
-        f"iterations={args.iterations}\n"
-        f"seed={args.seed}\n"
-        f"N={cfg.n_sheep}\n"
-        f"initial_cost={fmt(result.initial_cost)}\n"
-        f"final_cost={fmt(result.best_cost)}\n"
-    )
+    result = rls_optimize(TourInstance(start.dog_pos, start.sheep_pos, cfg.goal.center), config)
+    summary = _key_values(strategy=args.strategy, iterations=args.iterations, seed=args.seed, N=cfg.n_sheep,
+                          initial_cost=result.initial_cost, final_cost=result.best_cost)
     return {"tour.txt": _tour_text(result.best_tour.order), "cost_trace.csv": _trace_text(result),
             "plan_summary.txt": summary}
 
@@ -101,18 +105,10 @@ def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, st
     rows = _TrajectoryRows(cfg.n_sheep)
     outcome = run_trial(cfg, [args.method], args.seed, trial=0, iterations=args.iterations, sink=rows)[args.method]
     record = outcome.run
-    summary = (
-        f"method={args.method}\n"
-        f"seed={args.seed}\n"
-        f"success={int(record.success)}\n"
-        f"k_end={record.k_end}\n"
-        f"total_distance={fmt(record.total_distance)}\n"
-    )
+    summary = _key_values(method=args.method, seed=args.seed, success=int(record.success), k_end=record.k_end,
+                          total_distance=record.total_distance)
     if outcome.plan is not None:
-        summary += (
-            f"tour_cost_initial={fmt(outcome.plan.initial_cost)}\n"
-            f"tour_cost_final={fmt(outcome.plan.best_cost)}\n"
-        )
+        summary += _key_values(tour_cost_initial=outcome.plan.initial_cost, tour_cost_final=outcome.plan.best_cost)
     return {"trajectory.csv": rows.blocks(), "phases.csv": _phases_text(record), "run_summary.txt": summary}
 
 
@@ -181,18 +177,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_files(out: Path, files: dict[str, str | list[str]]) -> None:
+    """Write files into out, all or nothing: into a fresh staging directory beside out (inside it when
+    out is a mount point, so every move stays on one filesystem), then moved in once all are written.
+    A failed write or move leaves out as it was, and the staging directory never stays."""
+    for name in files:
+        if (out / name).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+    # The outermost of out and its parents that is missing; a failed run removes it again.
+    made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out if os.path.ismount(out) else out.parent))
+    try:
+        for name, text in files.items():
+            # Written as Path.write_text would, but encoded a block at a time.
+            with (stage / name).open("w") as f:
+                f.writelines([text] if isinstance(text, str) else text)
+        out.mkdir(exist_ok=True)
+        for name in files:
+            os.replace(stage / name, out / name)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
+    stage.rmdir()  # empty once every file has moved
+
+
 def run_cli(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # The one place where a usage or I/O problem becomes an error line and exit 2, and the
-    # one place that writes: --out is made only after the command has rendered every file.
+    # one place that writes: --out is touched only after the command has rendered every file.
     try:
-        files = args.func(args, _load_scenario(args))
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
-            # Written as Path.write_text would, but encoded a block at a time.
-            with (out / name).open("w") as f:
-                f.writelines([text] if isinstance(text, str) else text)
+        _write_files(Path(args.out), args.func(args, _load_scenario(args)))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

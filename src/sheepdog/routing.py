@@ -94,9 +94,9 @@ class RlsConfig:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if self.iterations < 1:
-            raise ValueError("iterations must be positive")
+            raise ValueError(f"iterations must be positive, got {self.iterations}")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

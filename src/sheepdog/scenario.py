@@ -149,8 +149,9 @@ def stream_seed(base_seed: int, n: int, rho: float, trial: int, stream: str) -> 
     Pure in its arguments, so adding grid cells or trials never perturbs
     the streams of existing ones.
     """
-    if base_seed < 0:
-        raise ValueError(f"base_seed must be non-negative, got {base_seed}")
+    for name, value in (("base_seed", base_seed), ("n", n), ("trial", trial)):
+        if value < 0:  # SeedSequence's own error would name none of them
+            raise ValueError(f"{name} must be non-negative, got {value}")
     label = zlib.crc32(stream.encode("ascii"))
     ss = np.random.SeedSequence(
         entropy=[int(base_seed), int(n), rho_key(rho), int(trial), label]

@@ -8,6 +8,12 @@ and `nearest_to_dog` are not references: they build the index array
 `steering_command` takes, measure with `_flock_oracle.offsets` and
 call the package's own selection, so tests can pick the sheep that
 `steering_command` steers by and hand the laws their distance rows.
+
+`batched_drive` and `batched_approach` are the laws on `(B,)` arrays, B
+episodes of N sheep each, written as a lockstep engine would run them:
+the picks by masked `argmax`/`argmin`, the unit vectors by `np.hypot`
+and the stand-off square by `np.float_power(x, 2.0)`. Tests require them
+to give each episode's scalar drive and approach bit for bit.
 """
 from __future__ import annotations
 
@@ -110,3 +116,43 @@ def steering(
     tracked = _farthest(candidates, destination, state)
     nearest = _nearest(candidates, state)
     return dog_velocity(state, params, tracked, nearest, destination), tracked, nearest
+
+
+def _units(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`dog._unit` on arrays: directions, zero legs along +x, and lengths clamped below by EPS."""
+    length = np.hypot(x, y)
+    clamped = np.maximum(length, EPS)
+    zero = length == 0.0
+    return np.where(zero, 1.0, x / clamped), np.where(zero, 0.0, y / clamped), clamped
+
+
+def _stand_offs(params: DogParams, dog: np.ndarray, sheep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`dog._stand_off` on arrays: the (B, 2) dogs pushed away from one (B, 2) sheep each."""
+    ux, uy, clamped = _units(dog[:, 0] - sheep[:, 0], dog[:, 1] - sheep[:, 1])
+    square = np.float_power(clamped, 2.0)
+    return params.k_repulsion * (ux / square), params.k_repulsion * (uy / square)
+
+
+def batched_drive(dogs, sheep, params, candidates, destinations, to_dog, to_destination) -> np.ndarray:
+    """(B, 2) drive velocities of B episodes: dogs and destinations (B, 2), sheep (B, N, 2),
+    candidates a (B, N) mask, to_dog and to_destination (B, N) distance rows.
+
+    The picks are masked argmax/argmin with the non-candidates at -inf/+inf, so ties go to
+    the smallest index, as `dog._pick` breaks them.
+    """
+    rows = np.arange(len(dogs))
+    tracked = np.where(candidates, to_destination, -np.inf).argmax(axis=1)
+    nearest = np.where(candidates, to_dog, np.inf).argmin(axis=1)
+    ax, ay, _ = _units(sheep[rows, tracked, 0] - dogs[:, 0], sheep[rows, tracked, 1] - dogs[:, 1])
+    rx, ry = _stand_offs(params, dogs, sheep[rows, nearest])
+    gx, gy, _ = _units(dogs[:, 0] - destinations[:, 0], dogs[:, 1] - destinations[:, 1])
+    ka, kg = params.k_attraction, params.k_goal_repulsion
+    return np.stack((ka * ax + rx + kg * gx, ka * ay + ry + kg * gy), axis=1)
+
+
+def batched_approach(dogs, sheep, params, targets, to_dog) -> np.ndarray:
+    """(B, 2) approach velocities of B episodes toward their (B, 2) targets."""
+    ax, ay, _ = _units(targets[:, 0] - dogs[:, 0], targets[:, 1] - dogs[:, 1])
+    rx, ry = _stand_offs(params, dogs, sheep[np.arange(len(dogs)), to_dog.argmin(axis=1)])
+    ka = params.k_attraction
+    return np.stack((ka * ax + rx, ka * ay + ry), axis=1)

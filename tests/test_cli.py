@@ -1,6 +1,8 @@
 """End-to-end checks of the command line front end."""
 import contextlib
+import errno
 import io
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -339,35 +341,103 @@ def test_edge_config_values_exit_zero_with_files_or_two_without_out(command, key
         assert not out.exists()
 
 
-def _undecodable_config(tmp):
+def _undecodable_config(tmp, monkeypatch):
     (tmp / "bad.cfg").write_bytes(b"N = 5\n\xff\xfe = 3\n")
     return ["plan", "--config", str(tmp / "bad.cfg"), "--out", str(tmp / "out")]
 
 
-def _out_is_a_file(tmp):
+def _out_is_a_file(tmp, monkeypatch):
     (tmp / "out").write_text("")
     return ["plan", *TINY, "--iterations", "10", "--out", str(tmp / "out")]
 
 
-def _trajectory_is_a_directory(tmp):
+def _trajectory_is_a_directory(tmp, monkeypatch):
     (tmp / "out" / "trajectory.csv").mkdir(parents=True)
     return ["simulate", "--method", "fat", *TINY, "--set", "T=5", "--out", str(tmp / "out")]
 
 
-def _cost_trace_is_a_directory(tmp):
-    # A write that fails after tour.txt is written.
+def _cost_trace_is_a_directory(tmp, monkeypatch):
+    # tour.txt comes before cost_trace.csv, and must not be written either.
     (tmp / "out" / "cost_trace.csv").mkdir(parents=True)
+    (tmp / "out" / "notes.txt").write_text("kept\n")
+    return ["plan", "--set", "N=3", "--set", "rho=0.01", "--iterations", "10", "--out", str(tmp / "out")]
+
+
+def _write_fails_part_way(tmp, monkeypatch):
+    # trajectory.csv, the first file, fails after its first block: a full disk, say.
+    def blocks(self):
+        yield "0\n"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(_TrajectoryRows, "blocks", blocks)
+    return ["simulate", "--method", "fat", *TINY, "--set", "T=5", "--out", str(tmp / "new" / "out")]
+
+
+def _failing_moves(monkeypatch, succeeding):
+    replace = os.replace
+
+    def failing(src, dst):
+        nonlocal succeeding
+        if succeeding == 0:
+            raise PermissionError(errno.EACCES, "Permission denied", str(dst))
+        succeeding -= 1
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", failing)
+
+
+def _move_fails_into_a_fresh_out(tmp, monkeypatch):
+    _failing_moves(monkeypatch, 2)
     return ["plan", *TINY, "--iterations", "10", "--out", str(tmp / "out")]
 
 
+def _move_fails_into_an_existing_out(tmp, monkeypatch):
+    (tmp / "out").mkdir()
+    (tmp / "out" / "tour.txt").write_text("old\n")
+    _failing_moves(monkeypatch, 0)
+    return ["plan", *TINY, "--iterations", "10", "--out", str(tmp / "out")]
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
 @pytest.mark.parametrize(
-    "setup", [_undecodable_config, _out_is_a_file, _trajectory_is_a_directory, _cost_trace_is_a_directory])
-def test_io_errors_exit_two(setup, tmp_path, capsys):
-    code = run_cli(setup(tmp_path))
+    "setup", [_undecodable_config, _out_is_a_file, _trajectory_is_a_directory, _cost_trace_is_a_directory,
+              _write_fails_part_way, _move_fails_into_a_fresh_out, _move_fails_into_an_existing_out])
+def test_io_errors_exit_two(setup, tmp_path, capsys, monkeypatch):
+    argv = setup(tmp_path, monkeypatch)
+    before = _tree(tmp_path)
+    code = run_cli(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    # --out is as it was: absent if it was, no file added or replaced, and no staging directory.
+    assert _tree(tmp_path) == before
+
+
+def test_a_run_adds_and_replaces_its_files_and_leaves_no_staging_directory(tmp_path):
+    out = tmp_path / "a" / "out"  # its parent is made too
+    assert run_cli(["plan", *TINY, "--iterations", "10", "--out", str(out)]) == 0
+    first = _tree(tmp_path)
+    assert set(first) == {"a", "a/out", "a/out/tour.txt", "a/out/cost_trace.csv", "a/out/plan_summary.txt"}
+    (out / "notes.txt").write_text("kept\n")
+    (out / "tour.txt").write_text("old\n")
+    assert run_cli(["plan", *TINY, "--iterations", "10", "--out", str(out)]) == 0
+    assert _tree(tmp_path) == {**first, "a/out/notes.txt": b"kept\n"}
+
+
+def test_plan_checks_its_numbers_before_the_warm_up(tmp_path, monkeypatch, capsys):
+    def no_warm_up(*args, **kwargs):
+        raise AssertionError("the flock was warmed up before the plan's numbers were checked")
+
+    monkeypatch.setattr(cli, "prepare_start_state", no_warm_up)
+    for argv, message in ((["--iterations", "0"], "iterations must be positive, got 0"),
+                          (["--seed", "-1"], "base_seed must be non-negative, got -1")):
+        assert run_cli(["plan", *argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_far_flock_runs_without_overflow_warnings(tmp_path):

@@ -175,28 +175,36 @@ _gain = st.one_of(st.just(0.0), st.floats(0.0, 2000.0))
 
 
 @st.composite
-def steering_cases(draw):
-    n = draw(st.integers(1, 12))
+def steering_cases(draw, n=None, params=None):
+    n = draw(st.integers(1, 12)) if n is None else n
     points = draw(st.lists(_point, min_size=1, max_size=n))
     pos = draw(st.lists(st.sampled_from(points), min_size=n, max_size=n))
     destination = draw(st.one_of(_point, st.sampled_from(pos)))
     dog = draw(st.one_of(_point, st.sampled_from(pos), st.just(destination)))
     destination = draw(st.one_of(st.just(destination), st.just(dog)))
-    params = DogParams(30.0, draw(_gain), draw(_gain), draw(_gain))
+    params = DogParams(30.0, draw(_gain), draw(_gain), draw(_gain)) if params is None else params
     candidates = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
     tracked, nearest = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     return make_state(pos, dog), params, candidates, np.array(destination), tracked, nearest
 
 
+# math.hypot(3.6, 20.8) and 31.086 * 31.086 each miss C's hypot and pow by an ulp.
+ULP_MISS = (make_state([[-31.086, 0.0]], [0.0, 0.0]), DEFAULTS, [0], np.array([-3.6, -20.8]), 0, 0)
+# The dog stands exactly on a sheep: a zero leg, which points along +x.
+ON_A_SHEEP = (make_state([[10.0, -10.0], [3.0, 4.0]], [10.0, -10.0]), DEFAULTS, [0, 1], np.array([0.0, 0.0]), 0, 0)
+# Subnormal legs, to the sheep and to the destination.
+SUBNORMAL_LEGS = (make_state([[0.0, 0.0], [1e-310, -2e-310]], [5e-324, 5e-324]), DEFAULTS, [0, 1],
+                  np.array([-1e-320, 0.0]), 1, 0)
+# The stand-off square of 1e200 overflows to inf, and so does the
+# length of (1.5e308, 1.5e308); numpy gives inf for both.
+HUGE = [make_state([[0.0, 0.0]], [1e200, 0.0]), make_state([[-1.5e308, 0.0]], [0.0, 1.5e308])]
+
+
 @settings(max_examples=400, deadline=None)
 @given(steering_cases())
-# math.hypot(3.6, 20.8) and 31.086 * 31.086 each miss C's hypot and pow by an ulp.
-@example((make_state([[-31.086, 0.0]], [0.0, 0.0]), DEFAULTS, [0], np.array([-3.6, -20.8]), 0, 0))
-# The dog stands exactly on a sheep: a zero leg, which points along +x.
-@example((make_state([[10.0, -10.0], [3.0, 4.0]], [10.0, -10.0]), DEFAULTS, [0, 1], np.array([0.0, 0.0]), 0, 0))
-# Subnormal legs, to the sheep and to the destination.
-@example((make_state([[0.0, 0.0], [1e-310, -2e-310]], [5e-324, 5e-324]), DEFAULTS, [0, 1],
-          np.array([-1e-320, 0.0]), 1, 0))
+@example(ULP_MISS)
+@example(ON_A_SHEEP)
+@example(SUBNORMAL_LEGS)
 def test_steering_laws_are_bitwise_the_vector_oracle(case):
     state, params, candidates, destination, tracked, nearest = case
     idx = np.array(sorted(set(candidates)))
@@ -217,10 +225,7 @@ def test_steering_laws_are_bitwise_the_vector_oracle(case):
 
 
 def test_huge_distances_overflow_like_the_vector_oracle():
-    # The stand-off square of 1e200 overflows to inf, and so does the
-    # length of (1.5e308, 1.5e308); numpy gives inf for both.
-    for sheep, dog in (([[0.0, 0.0]], [1e200, 0.0]), ([[-1.5e308, 0.0]], [0.0, 1.5e308])):
-        state = make_state(sheep, dog)
+    for state in HUGE:
         with np.errstate(over="ignore", invalid="ignore"):
             approach = approach_velocity(state, DEFAULTS, np.zeros(2), to_dog(state))
             approach_ref = oracle.approach_velocity(state, DEFAULTS, np.zeros(2))
@@ -228,6 +233,53 @@ def test_huge_distances_overflow_like_the_vector_oracle():
             drive_ref = oracle.dog_velocity(state, DEFAULTS, 0, 0, np.zeros(2))
         assert np.array(approach).tobytes() == approach_ref.tobytes()
         assert np.array(drive).tobytes() == drive_ref.tobytes()
+
+
+def assert_batch_is_the_scalar_laws(cases):
+    """The (B,) laws give each episode's steering_command and approach_velocity bit for bit."""
+    states = [case[0] for case in cases]
+    params, n = cases[0][1], states[0].n
+    dogs = np.array([state.dog_pos for state in states])
+    sheep = np.array([state.sheep_pos for state in states])
+    destinations = np.array([case[3] for case in cases])
+    candidates = np.zeros((len(cases), n), dtype=bool)
+    for b, case in enumerate(cases):
+        candidates[b, case[2]] = True
+    to_dogs = np.array([to_dog(state) for state in states])
+    to_destinations = np.array([oracle.distances_to(state, d) for state, d in zip(states, destinations)])
+    drive = oracle.batched_drive(dogs, sheep, params, candidates, destinations, to_dogs, to_destinations)
+    approach = oracle.batched_approach(dogs, sheep, params, destinations, to_dogs)
+    for b, (state, _, picked, destination, _, _) in enumerate(cases):
+        idx = oracle.candidate_index(picked, n)
+        v = steering_command(state, params, idx, destination, to_dogs[b], to_destinations[b])
+        assert np.array(v).tobytes() == drive[b].tobytes()
+        v = approach_velocity(state, params, destination, to_dogs[b])
+        assert np.array(v).tobytes() == approach[b].tobytes()
+
+
+@st.composite
+def batched_steering_cases(draw):
+    """Two to six episodes of one flock size and one set of gains, each with its own candidates."""
+    n = draw(st.integers(1, 12))
+    params = DogParams(30.0, draw(_gain), draw(_gain), draw(_gain))
+    return draw(st.lists(steering_cases(n, params), min_size=2, max_size=6))
+
+
+def _with_candidates(case, candidates):
+    return (case[0], case[1], candidates, *case[3:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(batched_steering_cases())
+@example([ULP_MISS, ULP_MISS])
+@example([ON_A_SHEEP, SUBNORMAL_LEGS, _with_candidates(ON_A_SHEEP, [1]), _with_candidates(SUBNORMAL_LEGS, [0])])
+def test_batched_laws_are_bitwise_the_scalar_laws(cases):
+    assert_batch_is_the_scalar_laws(cases)
+
+
+def test_batched_laws_overflow_like_the_scalar_laws():
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_batch_is_the_scalar_laws([(state, DEFAULTS, [0], np.zeros(2), 0, 0) for state in HUGE])
 
 
 def test_float_power_squares_as_the_laws_pow_does():

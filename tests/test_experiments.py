@@ -9,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from _recorder import has_placeholder_traces, run_recorded
-from sheepdog import experiments
+from sheepdog import experiments, placement
 from sheepdog.experiments import (
     METHOD_FAT,
     BatchSummary,
@@ -190,6 +190,15 @@ def test_trial_rejects_zero_iterations_before_placement(monkeypatch):
     monkeypatch.setattr(experiments, "prepare_start_state", no_placement)
     with pytest.raises(ValueError, match=re.escape("iterations must be positive, got 0")):
         run_trial(tiny_config(), [METHOD_FAT], 0, 0, 0)
+
+
+def test_trial_rejects_a_negative_trial_before_placement(monkeypatch):
+    def no_placement(*args, **kwargs):
+        raise AssertionError("the flock was placed before the trial's seed was checked")
+
+    monkeypatch.setattr(placement, "initial_placement", no_placement)
+    with pytest.raises(ValueError, match=re.escape("trial must be non-negative, got -1")):
+        run_trial(tiny_config(), [METHOD_FAT, "proposed:reverse"], 0, -1, 10)
 
 
 @settings(max_examples=15, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])

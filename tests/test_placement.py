@@ -101,6 +101,8 @@ def test_a_negative_base_seed_is_rejected_before_placement(monkeypatch):
     monkeypatch.setattr(placement, "initial_placement", no_placement)
     with pytest.raises(ValueError, match="base_seed must be non-negative, got -1"):
         prepare_start_state(ScenarioConfig(n_sheep=6, rho=0.0012), base_seed=-1)
+    with pytest.raises(ValueError, match="trial must be non-negative, got -1"):
+        prepare_start_state(ScenarioConfig(n_sheep=6, rho=0.0012), base_seed=0, trial=-1)
 
 
 def test_prepare_start_state_paired_and_trial_separated():

@@ -488,9 +488,9 @@ def test_brute_force_refuses_large_flocks():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="iterations must be positive, got 0"):
         RlsConfig("reverse", iterations=0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         RlsConfig("reverse", iterations=10, seed=-1)
     with pytest.raises(ValueError):
         RlsConfig("swap", iterations=10, seed=0)

@@ -237,6 +237,8 @@ def test_stream_seed_unaffected_by_other_cells():
 
 
 def test_stream_seed_rejects_a_negative_base_seed():
-    # Every placement and plan seed goes through here.
-    with pytest.raises(ValueError, match="base_seed must be non-negative, got -1"):
-        stream_seed(-1, 20, 0.0012, 0, "placement")
+    # Every placement and plan seed goes through here. A negative N or trial is
+    # named too, where SeedSequence's own error would name neither.
+    for (base_seed, n, trial), name in (((-1, 20, 0), "base_seed"), ((0, -1, 0), "n"), ((0, 20, -1), "trial")):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+            stream_seed(base_seed, n, 0.0012, trial, "placement")

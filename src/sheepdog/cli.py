@@ -178,30 +178,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_files(out: Path, files: dict[str, str | list[str]]) -> None:
-    """Write files into out, all or nothing: into a fresh staging directory beside out (inside it when
-    out is a mount point, so every move stays on one filesystem), then moved in once all are written.
-    A failed write or move leaves out as it was, and the staging directory never stays."""
+    """Write files into out, all or nothing: into a fresh staging directory inside out, so every
+    move stays in one directory, then moved in once all are written. A failed write or move leaves
+    out as it was, and the staging directory never stays."""
     for name in files:
         if (out / name).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
     # The outermost of out and its parents that is missing; a failed run removes it again.
     made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out if os.path.ismount(out) else out.parent))
     try:
-        for name, text in files.items():
-            # Written as Path.write_text would, but encoded a block at a time.
-            with (stage / name).open("w") as f:
-                f.writelines([text] if isinstance(text, str) else text)
-        out.mkdir(exist_ok=True)
-        for name in files:
-            os.replace(stage / name, out / name)
+        out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".stage.", dir=out))
+        try:
+            for name, text in files.items():
+                # Written as Path.write_text would, but encoded a block at a time.
+                with (stage / name).open("w") as f:
+                    f.writelines([text] if isinstance(text, str) else text)
+            for name in files:
+                os.replace(stage / name, out / name)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)  # empty once every file has moved
     except BaseException:
-        shutil.rmtree(stage, ignore_errors=True)
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)
         raise
-    stage.rmdir()  # empty once every file has moved
 
 
 def run_cli(argv: list[str] | None = None) -> int:

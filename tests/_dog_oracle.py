@@ -138,11 +138,14 @@ def batched_drive(dogs, sheep, params, candidates, destinations, to_dog, to_dest
     candidates a (B, N) mask, to_dog and to_destination (B, N) distance rows.
 
     The picks are masked argmax/argmin with the non-candidates at -inf/+inf, so ties go to
-    the smallest index, as `dog._pick` breaks them.
+    the smallest index, as `dog._pick` breaks them. Where every candidate is +inf from the dog,
+    the nearest pick is the first candidate, not a +inf filler before it.
     """
     rows = np.arange(len(dogs))
     tracked = np.where(candidates, to_destination, -np.inf).argmax(axis=1)
-    nearest = np.where(candidates, to_dog, np.inf).argmin(axis=1)
+    masked = np.where(candidates, to_dog, np.inf)
+    nearest = masked.argmin(axis=1)
+    nearest = np.where(masked[rows, nearest] == np.inf, candidates.argmax(axis=1), nearest)
     ax, ay, _ = _units(sheep[rows, tracked, 0] - dogs[:, 0], sheep[rows, tracked, 1] - dogs[:, 1])
     rx, ry = _stand_offs(params, dogs, sheep[rows, nearest])
     gx, gy, _ = _units(dogs[:, 0] - destinations[:, 0], dogs[:, 1] - destinations[:, 1])

@@ -428,6 +428,23 @@ def test_a_run_adds_and_replaces_its_files_and_leaves_no_staging_directory(tmp_p
     assert _tree(tmp_path) == {**first, "a/out/notes.txt": b"kept\n"}
 
 
+def test_a_run_stages_inside_out(tmp_path, monkeypatch):
+    # Staging inside --out keeps every move in one directory, so an --out that is a symlink to
+    # another filesystem, or a writable --out whose parent is not, works as a direct write would.
+    mkdtemp = cli.tempfile.mkdtemp
+
+    def inside_out(*args, dir, **kwargs):
+        assert dir == out
+        return mkdtemp(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(cli.tempfile, "mkdtemp", inside_out)
+    (tmp_path / "real").mkdir()
+    out = tmp_path / "out"
+    out.symlink_to(tmp_path / "real")
+    assert run_cli(["plan", *TINY, "--iterations", "10", "--out", str(out)]) == 0
+    assert set(_tree(tmp_path / "real")) == {"tour.txt", "cost_trace.csv", "plan_summary.txt"}
+
+
 def test_plan_checks_its_numbers_before_the_warm_up(tmp_path, monkeypatch, capsys):
     def no_warm_up(*args, **kwargs):
         raise AssertionError("the flock was warmed up before the plan's numbers were checked")

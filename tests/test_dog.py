@@ -198,6 +198,9 @@ SUBNORMAL_LEGS = (make_state([[0.0, 0.0], [1e-310, -2e-310]], [5e-324, 5e-324]),
 # The stand-off square of 1e200 overflows to inf, and so does the
 # length of (1.5e308, 1.5e308); numpy gives inf for both.
 HUGE = [make_state([[0.0, 0.0]], [1e200, 0.0]), make_state([[-1.5e308, 0.0]], [0.0, 1.5e308])]
+# The one candidate, sheep 1, is +inf from the dog, and sheep 0, not a candidate, is 1 from it:
+# the nearest pick is sheep 1, not the +inf filler at index 0.
+INF_CANDIDATE = (make_state([[1.0, 1.5e308], [-1.5e308, 0.0]], [0.0, 1.5e308]), DEFAULTS, [1], np.zeros(2), 0, 0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -280,6 +283,7 @@ def test_batched_laws_are_bitwise_the_scalar_laws(cases):
 def test_batched_laws_overflow_like_the_scalar_laws():
     with np.errstate(over="ignore", invalid="ignore"):
         assert_batch_is_the_scalar_laws([(state, DEFAULTS, [0], np.zeros(2), 0, 0) for state in HUGE])
+        assert_batch_is_the_scalar_laws([INF_CANDIDATE, _with_candidates(INF_CANDIDATE, [0, 1])])
 
 
 def test_float_power_squares_as_the_laws_pow_does():

@@ -22,8 +22,10 @@ rows :N within r_s and all of row N. A larger flock searches a
 NeighbourList that its caller keeps across the steps of one run, and
 appends the pass's dog row to the pairs it lists. Either way the same
 entries come out in row-major order with the same distances and
-differences. sheep_distances splits alike: one sheep's row of a small
-flock's pass, or the same subtraction and hypot of its own.
+differences, and with their columns of a key table (_key_table): of
+every pair, cached per flock size, or of the list's pairs, built with
+it. sheep_distances splits alike: one sheep's row of a small flock's
+pass, or the same subtraction and hypot of its own.
 
 The pairs' terms fill one (7, P) matrix whose last row is all ones, and
 one ``np.bincount`` sums every row per sheep, counting the neighbours
@@ -139,17 +141,30 @@ class FlockState:
         return self.sheep_pos.shape[0]
 
 
+def _largest(values: np.ndarray) -> float:
+    """values.max() read at its argmax, a nan if any: the same value without
+    ndarray.max()'s Python-level wrapper, a third of the cost on 20-200 floats."""
+    return values.item(values.argmax())
+
+
 # Bound at import, so that swapping a module's FlockState name for a
 # wrapper (a tracer, say) leaves the per-step snapshots as they are.
 _snapshot = FlockState._unchecked
 
 
+def _key_table(flat: np.ndarray, n: int) -> np.ndarray:
+    """The (8, L) key table of the flat pair indices i*n + j: row r < 7 holds
+    r*n + i, the pair's bincount key in term row r, and row 7 holds j."""
+    table = np.empty((8, flat.size), dtype=flat.dtype)
+    np.divmod(flat, n, out=(table[0], table[7]))
+    np.add(_TERM_ROWS[1:] * n, table[0], out=table[1:7])
+    return table
+
+
 @lru_cache(maxsize=64)
 def _pair_table(n: int) -> np.ndarray:
-    """For every flat pair index i*N + j: its bincount key in each term
-    row and, in row 7, its neighbour j. Built once per flock size."""
-    i, j = np.divmod(np.arange(n * n), n)
-    table = np.vstack((_TERM_ROWS * n + i, j))
+    """The key table of every flat pair index i*N + j, built once per flock size."""
+    table = _key_table(np.arange(n * n), n)
     table.setflags(write=False)
     return table
 
@@ -205,11 +220,12 @@ class NeighbourList:
     (a Verlet list; Verlet 1967).
 
     A build lists the pairs i != j whose legs |dx| and |dy| are both at
-    most 2 r_s, in ascending i*N + j order. A query measures the listed
-    pairs alone, with the pass's subtraction and hypot, and keeps those
-    within r_s. It rebuilds first unless no coordinate of any sheep has moved
-    by more than _REBUILD_MOVE = 0.45 r_s since the build (nan and inf
-    moves fail that test). No neighbour is missed: an unlisted pair had a
+    most 2 r_s, in ascending i*N + j order, as the columns of their key
+    table. A query measures the listed pairs alone, with the pass's
+    subtraction and hypot, and keeps those within r_s and their columns.
+    It rebuilds first unless no coordinate of any sheep has moved by more
+    than _REBUILD_MOVE = 0.45 r_s since the build (nan and inf moves fail
+    that test). No neighbour is missed: an unlisted pair had a
     leg longer than 2 r_s at the build (or not finite, which finite
     positions give only by overflowing), so after two moves of 0.45 r_s
     it is still longer than 1.1 r_s, and a faithfully rounded hypot is
@@ -218,7 +234,7 @@ class NeighbourList:
     moves that small are exact differences.
     """
 
-    __slots__ = ("_pos", "_r_s", "_ij")
+    __slots__ = ("_pos", "_r_s", "_table")
 
     def __init__(self) -> None:
         self._pos = None
@@ -231,26 +247,24 @@ class NeighbourList:
         box = np.abs(diff[0]) <= reach
         box &= np.abs(diff[1]) <= reach
         box.flat[:: n + 1] = False
-        listed = box.ravel().nonzero()[0]
-        self._ij = np.empty((2, listed.size), dtype=listed.dtype)
-        np.divmod(listed, n, out=(self._ij[0], self._ij[1]))
+        self._table = _key_table(box.ravel().nonzero()[0], n)
         # A copy, so that a caller who writes to pos cannot hide a move.
         self._pos, self._r_s = pos.copy(), r_s
 
     def pairs(self, pos: np.ndarray, r_s: float) -> tuple[np.ndarray, ...]:
         """Each pair i != j within r_s of the (N, 2) positions pos, in
-        ascending i*N + j order: its i, its j, its distance and, as the
-        rows of one (2, P) array, its differences x_j - x_i and y_j - y_i."""
+        ascending i*N + j order: its column of the key table (row 0 is i,
+        row 7 is j), its distance and, as the rows of one (2, P) array,
+        its differences x_j - x_i and y_j - y_i."""
         built = self._pos
         stale = built is None or built.shape != pos.shape or r_s != self._r_s
-        if stale or not np.abs(pos - built).max() <= _REBUILD_MOVE * r_s:
+        if stale or not _largest(np.abs(pos - built)) <= _REBUILD_MOVE * r_s:
             self._build(pos, r_s)
-        ij = self._ij
-        diff = np.subtract(pos.take(ij[1], axis=0), pos.take(ij[0], axis=0))
+        table = self._table
+        diff = np.subtract(pos.take(table[7], axis=0), pos.take(table[0], axis=0))
         dist = np.hypot(diff[:, 0], diff[:, 1])
         inside = (dist <= r_s).nonzero()[0]
-        i, j = ij.take(inside, axis=1)
-        return i, j, dist.take(inside), diff.take(inside, axis=0).T
+        return table.take(inside, axis=1), dist.take(inside), diff.take(inside, axis=0).T
 
 
 def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList | None = None,
@@ -269,18 +283,17 @@ def flock_velocities(state: FlockState, params: SheepParams, near: NeighbourList
     n = state.n
     diff, dist = sheep_offsets(state) if measured is None else measured
 
-    # Flattened bincount keys of the pairs and each pair's neighbour j:
-    # small flocks look them up in tables of 8 N * N integers, under
-    # 62 kB, and larger flocks build them. The dog's N entries follow.
+    # The pairs' columns of a key table (_key_table): small flocks take
+    # them from a table of 8 N * N integers per flock size, under 62 kB,
+    # and larger flocks from the list's. The dog's N entries follow.
     if n < _LIST_MIN_N:
         pairs, pair_dist, pair_diff = _neighbour_pairs(diff, dist, params.r_s)
         table = _pair_table(n).take(pairs[:-n], axis=1)
-        keys, j = table[:7].ravel(), table[7]
     else:
-        i, j, pair_dist, pair_diff = (near or NeighbourList()).pairs(state.sheep_pos, params.r_s)
-        keys = (_TERM_ROWS * n + i).ravel()
+        table, pair_dist, pair_diff = (near or NeighbourList()).pairs(state.sheep_pos, params.r_s)
         pair_dist = np.concatenate((pair_dist, dist[0]))
         pair_diff = np.concatenate((pair_diff, diff[:, 0]), axis=1)
+    keys, j = table[:7].ravel(), table[7]
 
     clamped = np.maximum(pair_dist, EPS)
     # Rows: separation x/y and cohesion x/y of every entry.

@@ -36,7 +36,8 @@ from enum import Enum
 import numpy as np
 
 from .dog import _length, approach_velocity, steering_command
-from .flock import FlockState, NeighbourList, _snapshot, flock_velocities, pass_points, sheep_distances, sheep_offsets
+from .flock import (FlockState, NeighbourList, _largest, _snapshot, flock_velocities, pass_points, sheep_distances,
+                    sheep_offsets)
 from .routing import Tour
 from .scenario import GoalSpec, ScenarioConfig
 
@@ -79,8 +80,9 @@ class RunRecord:
 
 def goal_reached(to_goal: np.ndarray, goal: GoalSpec) -> bool:
     """True when every sheep lies within the goal disk (boundary inclusive),
-    given every sheep's distance to the goal centre."""
-    return bool(to_goal.max() <= goal.radius)
+    given every sheep's distance to the goal centre: max() <= radius, with
+    the max read at its argmax (flock._largest), so a nan distance fails."""
+    return bool(_largest(to_goal) <= goal.radius)
 
 
 class _TourController:
@@ -119,7 +121,7 @@ class _TourController:
                 self._collect()
         elif phase.mode is GuidanceMode.PROVISIONAL_GATHER:
             to_target = sheep_distances(state, measured, order[phase.nu - 1])
-            if to_target.take(self._idx).max() <= scenario.goal.radius:
+            if _largest(to_target.take(self._idx)) <= scenario.goal.radius:
                 self._collect()
                 to_target = None  # the collection moved the target
 

@@ -268,10 +268,34 @@ def test_both_pair_searches_skip_non_finite_pairs():
         assert pairs[2:].tolist() == list(range(49, 56))  # (7, j), the dog's
         # The second query sees a nan displacement and rebuilds the list.
         for _ in range(2):
-            i, j, listed_dist, listed_diff = near.pairs(pos, R_S)
-            assert (i * x.size + j).tolist() == pairs[:2].tolist() == [1, 7]  # (0, 1) and (1, 0), row-major
+            table, listed_dist, listed_diff = near.pairs(pos, R_S)
+            # (0, 1) and (1, 0), row-major; rows 0 and 7 of the key table are i and j.
+            assert (table[0] * x.size + table[7]).tolist() == pairs[:2].tolist() == [1, 7]
             assert listed_dist.tobytes() == dist[:2].tobytes()
             assert listed_diff.tobytes() == diff[:, :2].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([32, 40, 100]), st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 0.6), min_size=1, max_size=4))
+def test_the_lists_key_table_is_the_small_flocks_at_the_same_pairs(n, seed, moves):
+    # Both searches feed the kernel columns of one key table layout. A kept
+    # list's pairs must carry _pair_table(n)'s columns at their flat pairs
+    # i*N + j, and be the pairs within r_s that the small-flock search finds.
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-3.0, 3.0, size=(n, 2)) * R_S * np.sqrt(n / 32)
+    near = NeighbourList()
+    for move in (0.0, *moves):
+        pos = pos + rng.uniform(-move, move, size=pos.shape) * R_S
+        table, dist, diff = near.pairs(pos, R_S)
+        flat = table[0] * n + table[7]
+        expected = flock._pair_table(n).take(flat, axis=1)
+        assert table.dtype == expected.dtype and table.tobytes() == expected.tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flock, "_LIST_MIN_N", BOTH_PAIR_SEARCHES[1])  # the pass of every sheep
+            pairs, pair_dist, pair_diff = flock._neighbour_pairs(*sheep_offsets(flock._snapshot(pos, pos, pos[0])), R_S)
+        assert flat.tolist() == pairs[:-n].tolist()
+        assert dist.tobytes() == pair_dist[:-n].tobytes()
+        assert diff.tobytes() == np.ascontiguousarray(pair_diff[:, :-n]).tobytes()
 
 
 def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):

@@ -62,6 +62,24 @@ def test_goal_reached_trivials():
     assert not reached([[20.0 + 1e-6, 0.0]])
 
 
+@st.composite
+def _distance_rows(draw):
+    radius = draw(st.one_of(st.just(20.0), st.floats(5e-324, 1e308)))
+    # Specials, the radius and its neighbours, in any position and repeated for ties.
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               radius, np.nextafter(radius, 0.0), np.nextafter(radius, np.inf), 1e308])
+    value = st.one_of(special, st.floats(allow_nan=True, allow_infinity=True))
+    return np.array(draw(st.lists(value, min_size=1, max_size=200))), radius
+
+
+@settings(max_examples=500, deadline=None)
+@given(_distance_rows())
+def test_goal_reached_is_the_max_test(row):
+    values, radius = row
+    goal = GoalSpec(center=np.zeros(2), radius=radius)
+    assert goal_reached(values, goal) is bool(values.max() <= radius)
+
+
 # ------------------------------------------------------------------- edge cases
 
 def test_zero_horizon_fails_without_moving():

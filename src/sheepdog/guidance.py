@@ -7,6 +7,9 @@ position of the next sheep on the tour; when every sheep is collected it
 drives the whole flock to the goal. The baseline skips straight to the
 final drive over all sheep.
 
+An episode is a generator that owns its phase machine, phase list, sink,
+distance total and end check; _run_episode steps it and makes the kernel calls.
+
 A FlockState is validated at the episode's boundaries only: the start
 state is one, and the end state is rebuilt through the checked
 constructor, which raises if any value turned non-finite on the way (a
@@ -19,7 +22,7 @@ Each state's distances are taken once, in the kernel's pass
 (flock.sheep_offsets) with the goal centre as its last row: one
 difference and one ``np.hypot`` from every sheep (below
 flock._LIST_MIN_N only), the dog and the goal. The goal check reads the
-last row; the controller's contact test, its choice of the sheep to
+last row; the phase machine's contact test, its choice of the sheep to
 track and to stand off, and the drive's farthest sheep read the last
 two; the kernel reads the rest. flock.sheep_distances gives a gather
 target's row, once per step and again only when a collection moves the
@@ -85,77 +88,22 @@ def goal_reached(to_goal: np.ndarray, goal: GoalSpec) -> bool:
     return bool(_largest(to_goal) <= goal.radius)
 
 
-class _TourController:
-    """Phase machine for the tour-guided episode.
-
-    Collection checks run against the current snapshot before the dog
-    moves, so a collection changes the steering within the same step.
-    Started in FINAL_DRIVE it is the drive-only baseline and reads no tour.
-    """
-
-    def __init__(self, scenario: ScenarioConfig, order: tuple[int, ...], mode: GuidanceMode):
-        self._scenario = scenario
-        self._order = order
-        self.phase, self._idx = GuidancePhase(mode, 1), None  # no prefix in a start mode
-
-    def _collect(self) -> None:
-        # The drive's candidates, built once per phase: the collected tour prefix,
-        # sorted, while gathering, and None (every sheep) in the drive. Python's
-        # sorted keeps numpy's sort code, about 0.4 MB of resident pages, unloaded.
-        nu = self.phase.nu + 1
-        gathering = nu <= self._scenario.n_sheep
-        self.phase = GuidancePhase(GuidanceMode.PROVISIONAL_GATHER if gathering else GuidanceMode.FINAL_DRIVE, nu)
-        self._idx = np.array(sorted(self._order[: nu - 1])) if gathering else None
-
-    def __call__(self, state: FlockState, measured) -> tuple[GuidancePhase, tuple[float, float]]:
-        """Phase and dog velocity for state, given its pass (flock.sheep_offsets),
-        whose last two rows are taken from the dog and from the goal centre."""
-        phase = self.phase
-        order = self._order
-        scenario = self._scenario
-        pos = state.sheep_pos
-        to_dog = measured[1][-2]
-        to_target = None
-        if phase.mode is GuidanceMode.APPROACH_FIRST:
-            if to_dog[order[0]] <= scenario.dog.r_d:
-                self._collect()
-        elif phase.mode is GuidanceMode.PROVISIONAL_GATHER:
-            to_target = sheep_distances(state, measured, order[phase.nu - 1])
-            if _largest(to_target.take(self._idx)) <= scenario.goal.radius:
-                self._collect()
-                to_target = None  # the collection moved the target
-
-        phase = self.phase
-        if phase.mode is GuidanceMode.APPROACH_FIRST:
-            return phase, approach_velocity(state, scenario.dog, pos[order[0]], to_dog)
-        if phase.mode is GuidanceMode.PROVISIONAL_GATHER:
-            destination = pos[order[phase.nu - 1]]
-            if to_target is None:
-                to_target = sheep_distances(state, measured, order[phase.nu - 1])
-        else:
-            destination, to_target = scenario.goal.center, measured[1][-1]
-        return phase, steering_command(state, scenario.dog, self._idx, destination, to_dog, to_target)
-
-
-# Overflow and invalid-operation warnings are silenced once per episode,
-# not per kernel call. A sheep about 1.3e154 or more from the dog overflows
-# the square in the flight term's denominator to inf, and the term is 0,
-# which is its limit. Any other overflow leaves a non-finite state, which
-# the end check rejects ("flock state must be finite"). Invalid operations
-# (inf - inf, inf / inf) follow once a value is non-finite, and a nan or inf
-# position persists to that check. errstate changes no value, only warnings.
-@np.errstate(over="ignore", invalid="ignore")
-def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=None) -> RunRecord:
+def _episode(scenario: ScenarioConfig, order: tuple[int, ...], mode: GuidanceMode, state: FlockState, sink):
+    """One episode: yields (state, near, measured) for each step's kernel call,
+    is sent the sheep velocities and returns the RunRecord. A collection is
+    tested on the step's state before the dog moves, so it changes the steering
+    within the same step. Started in FINAL_DRIVE it is the drive-only baseline."""
     if state.n != scenario.n_sheep:
         raise ValueError(f"state has {state.n} sheep, scenario expects {scenario.n_sheep}")
 
-    goal = scenario.goal
+    dog, goal = scenario.dog, scenario.goal
     points = pass_points(state.n, goal.center)  # rows -2 and -1: dog, goal
     measured = sheep_offsets(state, points)
 
     k = -1  # the last step taken; the loop may take none
     if sink is not None:
         sink(state)
+    phase, idx = GuidancePhase(mode, 1), None  # no prefix in a start mode
     phases: list[tuple[int, GuidancePhase]] = []
     total = 0.0
     success = goal_reached(measured[1][-1], goal)
@@ -164,14 +112,40 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
         dog_x, dog_y = state.dog_pos.tolist()
         near = NeighbourList()
         for k in range(scenario.horizon):
-            phase, (vx, vy) = controller(state, measured)
-            # The controller hands out a new phase object only when the phase changes.
-            if not phases or phase is not phases[-1][1]:
+            pos = state.sheep_pos
+            to_dog = measured[1][-2]
+            to_target, collected = None, False
+            if phase.mode is GuidanceMode.APPROACH_FIRST:
+                collected = to_dog[order[0]] <= dog.r_d
+            elif phase.mode is GuidanceMode.PROVISIONAL_GATHER:
+                to_target = sheep_distances(state, measured, order[phase.nu - 1])
+                collected = _largest(to_target.take(idx)) <= goal.radius
+            if collected:
+                # The drive's candidates, built once per phase: the collected tour
+                # prefix, sorted, while gathering, and None (every sheep) in the drive.
+                # Python's sorted keeps numpy's sort code (about 0.4 MB resident) unloaded.
+                nu = phase.nu + 1
+                gathering = nu <= scenario.n_sheep
+                phase = GuidancePhase(GuidanceMode.PROVISIONAL_GATHER if gathering else GuidanceMode.FINAL_DRIVE, nu)
+                idx, to_target = np.array(sorted(order[: nu - 1])) if gathering else None, None  # target moved
+            if collected or not phases:
                 phases.append((k, phase))
-            v_sheep = flock_velocities(state, scenario.sheep, near, measured)
+
+            if phase.mode is GuidanceMode.APPROACH_FIRST:
+                vx, vy = approach_velocity(state, dog, pos[order[0]], to_dog)
+            else:
+                if phase.mode is GuidanceMode.PROVISIONAL_GATHER:
+                    destination = pos[order[phase.nu - 1]]
+                    if to_target is None:
+                        to_target = sheep_distances(state, measured, order[phase.nu - 1])
+                else:
+                    destination, to_target = goal.center, measured[1][-1]
+                vx, vy = steering_command(state, dog, idx, destination, to_dog, to_target)
+
+            v_sheep = yield state, near, measured
             dog_x += vx
             dog_y += vy
-            state = _snapshot(state.sheep_pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
+            state = _snapshot(pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
             total += _length(vx, vy)
             if sink is not None:
                 sink(state)
@@ -183,7 +157,7 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
         FlockState(sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)
 
     k_end = k + 1
-    terminal = replace(controller.phase, mode=GuidanceMode.DONE) if success else controller.phase
+    terminal = replace(phase, mode=GuidanceMode.DONE) if success else phase
     if not phases or terminal is not phases[-1][1]:
         phases.append((k_end, terminal))
 
@@ -194,15 +168,32 @@ def _run_episode(scenario: ScenarioConfig, controller, state: FlockState, sink=N
                      sheep_traces=sheep_traces, phases=tuple(phases))
 
 
+# Overflow and invalid-operation warnings are silenced once per episode, in
+# the loop that steps it (on the generator, errstate would cover only its
+# creation). A sheep about 1.3e154 or more from the dog overflows the square
+# in the flight term's denominator to inf, and the term is 0, its limit. Any
+# other overflow leaves a non-finite state, which the end check rejects
+# ("flock state must be finite"). Invalid operations (inf - inf, inf / inf)
+# follow once a value is non-finite, and a nan or inf position persists to
+# that check. errstate changes no value, only warnings.
+@np.errstate(over="ignore", invalid="ignore")
+def _run_episode(scenario: ScenarioConfig, order, mode, state: FlockState, sink) -> RunRecord:
+    episode, sheep = _episode(scenario, order, mode, state, sink), scenario.sheep
+    try:
+        state, near, measured = next(episode)
+        while True:
+            state, near, measured = episode.send(flock_velocities(state, sheep, near, measured))
+    except StopIteration as end:
+        return end.value
+
+
 def run_fat(scenario: ScenarioConfig, initial_state: FlockState, *, sink=None) -> RunRecord:
     """Drive-only baseline episode; no tour is needed."""
-    controller = _TourController(scenario, (), GuidanceMode.FINAL_DRIVE)
-    return _run_episode(scenario, controller, initial_state, sink)
+    return _run_episode(scenario, (), GuidanceMode.FINAL_DRIVE, initial_state, sink)
 
 
 def run_proposed(scenario: ScenarioConfig, tour: Tour, initial_state: FlockState, *, sink=None) -> RunRecord:
     """Tour-guided episode: approach, gather, final drive."""
     if tour.n != scenario.n_sheep:
         raise ValueError(f"tour over {tour.n} sheep does not match scenario of {scenario.n_sheep}")
-    controller = _TourController(scenario, tour.order, GuidanceMode.APPROACH_FIRST)
-    return _run_episode(scenario, controller, initial_state, sink)
+    return _run_episode(scenario, tour.order, GuidanceMode.APPROACH_FIRST, initial_state, sink)

@@ -1,7 +1,9 @@
 """Paired trials, grid batches, and the CSV tables built from them."""
 import ast
+import io
 import math
 import re
+import tokenize
 from dataclasses import replace
 from pathlib import Path
 
@@ -291,6 +293,17 @@ def test_summary_mean_over_successes_is_nan_when_none_succeed():
     assert s.mean_distance_all == pytest.approx(250.0)
 
 
+def test_summary_of_one_successful_trial_is_that_trial():
+    # A group of one: the rate divides by one trial and the mean over
+    # successes is that trial's J, not a share of a larger count.
+    won = TrialRecord(n=5, rho=0.001, trial=0, method="proposed:reverse", success=True, k_end=412,
+                      total_distance=1234.5678, tour_cost_initial=300.0, tour_cost_final=250.0)
+    (s,) = summarize([won])
+    assert (s.trials, s.successes) == (1, 1)
+    assert s.success_rate == 1.0
+    assert s.mean_distance_successes == s.mean_distance_all == 1234.5678
+
+
 def test_summary_means_add_left_to_right_from_zero():
     # 1e16 + 1.0 rounds back to 1e16, so adding left to right loses both
     # ones, while compensated summation (the builtin sum() from Python 3.12
@@ -327,6 +340,44 @@ def test_no_module_calls_the_builtin_sum():
     assert _other_float_sums("math.hypot(a, b)\nnp.sum(a)\nimport math\nfrom math import isfinite\n") == []
     modules = sorted(Path(experiments.__file__).parent.glob("*.py"))
     calls = [f"{path.name}:{line}" for path in modules for line in _other_float_sums(path.read_text())]
+    assert len(modules) > 1 and calls == []
+
+
+def _numpy_float_reductions(source: str) -> list[int]:
+    """Lines of source that reduce floats through numpy: a .sum( or .mean( call,
+    np.add.reduce, np.dot, np.linalg or the @ operator. A line is allowed when
+    it carries a comment "# fixed bits: <why>" saying why its sum's bits do not
+    depend on the loop numpy picks."""
+    def banned(node) -> bool:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            return node.func.attr in ("sum", "mean")
+        if isinstance(node, ast.Attribute):
+            return (node.attr in ("dot", "linalg")
+                    or node.attr == "reduce" and isinstance(node.value, ast.Attribute) and node.value.attr == "add")
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.MatMult)
+        if isinstance(node, ast.ImportFrom):
+            return "linalg" in (node.module or "") or any(alias.name == "linalg" for alias in node.names)
+        return False
+
+    allowed = {tok.start[0] for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+               if tok.type == tokenize.COMMENT and re.match(r"# fixed bits: \S", tok.string)}
+    return sorted({node.lineno for node in ast.walk(ast.parse(source)) if banned(node)} - allowed)
+
+
+def test_no_module_reduces_floats_through_numpy():
+    # A numpy reduction may block its sum pairwise, and how depends on the
+    # SIMD loop numpy picks for the host CPU; the package adds left to right
+    # (functools.reduce, np.bincount) or not at all, so its bits do not.
+    caught = ("x.sum()\nx.mean(axis=0)\nnp.sum(a)\nnp.mean(a)\nnp.add.reduce(a)\nnp.dot(a, b)\na @ b\na @= b\n"
+              "np.linalg.norm(a)\nfrom numpy import linalg\nfrom numpy.linalg import norm\n"
+              "x.sum()  # fixed bits:\nx.sum()  # why not\n")
+    assert _numpy_float_reductions(caught) == list(range(1, 14))
+    allowed = ("np.hypot(a, b)\nnp.bincount(k, w)\nreduce(add, a, 0.0)\nx.argmax()\n"
+               "x.sum()  # fixed bits: integer counts\n")
+    assert _numpy_float_reductions(allowed) == []
+    modules = sorted(Path(experiments.__file__).parent.glob("*.py"))
+    calls = [f"{path.name}:{line}" for path in modules for line in _numpy_float_reductions(path.read_text())]
     assert len(modules) > 1 and calls == []
 
 

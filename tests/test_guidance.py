@@ -107,6 +107,21 @@ def test_already_at_goal_succeeds_immediately():
         assert [(k, p.mode, p.nu) for k, p in run.phases] == [(0, GuidanceMode.DONE, 1)]
 
 
+def test_first_contact_is_inclusive_at_r_d():
+    # The tour's first sheep exactly r_d from the dog is in contact, so the
+    # gather begins at step 0; one ulp farther out the dog still approaches.
+    cfg = ScenarioConfig(n_sheep=2, rho=0.0012, horizon=1)
+    dog = cfg.dog_start
+    assert cfg.dog.r_d == 30.0
+    for dx, mode, nu in ((30.0, GuidanceMode.PROVISIONAL_GATHER, 2),
+                         (np.nextafter(30.0, np.inf), GuidanceMode.APPROACH_FIRST, 1)):
+        first = dog + (dx, 0.0)
+        assert np.hypot(*(first - dog)) == dx
+        run = run_proposed(cfg, Tour((0, 1)), initial_state=make_state([first, [60.0, -60.0]], dog))
+        assert not run.success and run.k_end == 1
+        assert [(k, p.mode, p.nu) for k, p in run.phases] == [(0, mode, nu)]
+
+
 def test_mismatched_sizes_are_rejected():
     cfg = ScenarioConfig(n_sheep=3, rho=0.0012)
     state = make_state([[30.0, 0.0]], cfg.dog_start)
@@ -414,7 +429,7 @@ def _manual_proposed(cfg, order, state):
                     retargets.append(k)
         if not phases or phases[-1][1:] != (mode, nu):
             phases.append((k, mode, nu))
-            # The collected sheep are the tour prefix the controller reads from nu.
+            # The collected sheep are the tour prefix the episode reads from nu.
             assert collected == order[: nu - 1]
 
         if mode is GuidanceMode.APPROACH_FIRST:

@@ -23,7 +23,6 @@ from .experiments import (
     summary_csv,
     run_batch,
 )
-from .guidance import RunRecord
 from .placement import prepare_start_state
 from .routing import STRATEGIES, RlsConfig, RlsResult, TourInstance, rls_optimize
 from .scenario import NUMBER, ScenarioConfig, apply_assignments, default_scenario, fmt, parse_config, stream_seed
@@ -97,19 +96,19 @@ class _TrajectoryRows:
         return self._blocks
 
 
-def _phases_text(record: RunRecord) -> str:
-    return "".join(f"{k},{phase.mode.value},{phase.nu}\n" for k, phase in record.phases)
+def _phases_text(phases) -> str:
+    return "".join(f"{k},{phase.mode.value},{phase.nu}\n" for k, phase in phases)
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str | list[str]]:
     rows = _TrajectoryRows(cfg.n_sheep)
     outcome = run_trial(cfg, [args.method], args.seed, trial=0, iterations=args.iterations, sink=rows)[args.method]
-    record = outcome.run
+    record = outcome.record
     summary = _key_values(method=args.method, seed=args.seed, success=int(record.success), k_end=record.k_end,
                           total_distance=record.total_distance)
-    if outcome.plan is not None:
-        summary += _key_values(tour_cost_initial=outcome.plan.initial_cost, tour_cost_final=outcome.plan.best_cost)
-    return {"trajectory.csv": rows.blocks(), "phases.csv": _phases_text(record), "run_summary.txt": summary}
+    if record.tour_cost_initial is not None:
+        summary += _key_values(tour_cost_initial=record.tour_cost_initial, tour_cost_final=record.tour_cost_final)
+    return {"trajectory.csv": rows.blocks(), "phases.csv": _phases_text(outcome.phases), "run_summary.txt": summary}
 
 
 def _parse_grid(raw: str) -> list[tuple[int, float]]:

@@ -10,9 +10,9 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 
-from .guidance import RunRecord, run_fat, run_proposed
+from .guidance import GuidancePhase, run_fat, run_proposed
 from .placement import prepare_start_state
-from .routing import STRATEGIES, RlsConfig, RlsResult, TourInstance, rls_optimize
+from .routing import STRATEGIES, RlsConfig, TourInstance, rls_optimize
 from .scenario import ScenarioConfig, fmt, rho_key, stream_seed
 
 METHOD_FAT = "fat"
@@ -49,9 +49,10 @@ class TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class MethodOutcome:
-    method: str
-    run: RunRecord
-    plan: RlsResult | None
+    """One method's row of a trial, and its episode's phase change points for phases.csv."""
+
+    record: TrialRecord
+    phases: tuple[tuple[int, GuidancePhase], ...]
 
 
 @dataclass(frozen=True)
@@ -77,42 +78,27 @@ def run_trial(
     *,
     sink=None,
 ) -> dict[str, MethodOutcome]:
-    """Run every method once from the shared warmed start state. sink, if given, sees
-    the states of each method's episode in turn; a batch keeps no states and passes none."""
+    """Run every method once from the shared warmed start state; each method's outcome holds its
+    results-table row, built right after its episode. sink, if given, sees the states of each
+    method's episode in turn; a batch keeps no states and passes none."""
     if iterations < 1:  # checked here too: a trial with no proposed method builds no RlsConfig
         raise ValueError(f"iterations must be positive, got {iterations}")
     start = prepare_start_state(config, base_seed=base_seed, trial=trial)
-    instance = TourInstance(
-        dog_start=start.dog_pos,
-        sheep_start=start.sheep_pos,
-        goal=config.goal.center,
-    )
+    instance = TourInstance(start.dog_pos, start.sheep_pos, config.goal.center)
     outcomes: dict[str, MethodOutcome] = {}
     for method in methods:
         strategy = method_strategy(method)
         if strategy is None:
-            outcomes[method] = MethodOutcome(method, run_fat(config, initial_state=start, sink=sink), None)
+            run, costs = run_fat(config, initial_state=start, sink=sink), (None, None)
         else:
             seed = stream_seed(base_seed, config.n_sheep, config.rho, trial, f"plan:{strategy}")
             plan = rls_optimize(instance, RlsConfig(strategy, iterations, seed))
             run = run_proposed(config, plan.best_tour, initial_state=start, sink=sink)
-            outcomes[method] = MethodOutcome(method, run, plan)
+            costs = plan.initial_cost, plan.best_cost
+        record = TrialRecord(config.n_sheep, config.rho, trial, method, run.success, run.k_end, run.total_distance,
+                             *costs)
+        outcomes[method] = MethodOutcome(record, run.phases)
     return outcomes
-
-
-def _record(config: ScenarioConfig, trial: int, outcome: MethodOutcome) -> TrialRecord:
-    plan = outcome.plan
-    return TrialRecord(
-        n=config.n_sheep,
-        rho=config.rho,
-        trial=trial,
-        method=outcome.method,
-        success=outcome.run.success,
-        k_end=outcome.run.k_end,
-        total_distance=outcome.run.total_distance,
-        tour_cost_initial=None if plan is None else plan.initial_cost,
-        tour_cost_final=None if plan is None else plan.best_cost,
-    )
 
 
 def run_batch(
@@ -147,7 +133,7 @@ def run_batch(
     for config in configs:
         for trial in range(trials):
             outcomes = run_trial(config, methods, base_seed, trial, iterations)
-            records.extend(_record(config, trial, outcomes[m]) for m in methods)
+            records.extend(outcomes[m].record for m in methods)
     return records, summarize(records)
 
 

@@ -240,16 +240,13 @@ def _first_hit(deltas, table: np.ndarray, path: list[int], a: np.ndarray, b: np.
     cost of path by at most margin, or len(a) if none does."""
     flat, nodes = table.ravel(), np.fromiter(path, np.intp, len(path))
     window = _FIRST_WINDOW
-    # Sums near the largest float overflow to inf, and inf - inf is nan,
-    # as in the scalar deltas; only numpy would warn of it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while start < a.size:
-            stop = min(start + window, a.size)
-            hits = (deltas(flat, nodes, a[start:stop], b[start:stop]) <= margin).nonzero()[0]
-            if hits.size:
-                return start + int(hits[0])
-            start = stop
-            window = min(2 * window, _MAX_WINDOW)
+    while start < a.size:
+        stop = min(start + window, a.size)
+        hits = (deltas(flat, nodes, a[start:stop], b[start:stop]) <= margin).nonzero()[0]
+        if hits.size:
+            return start + int(hits[0])
+        start = stop
+        window = min(2 * window, _MAX_WINDOW)
     return a.size
 
 
@@ -257,6 +254,9 @@ def random_tour(n: int, rng: np.random.Generator) -> Tour:
     return Tour(tuple(int(i) for i in rng.permutation(n)))
 
 
+# Entered once per search, not per _first_hit call: a window's sums near the largest
+# float overflow to inf, and inf - inf is nan, as in the scalar deltas; only numpy would warn of it.
+@np.errstate(over="ignore", invalid="ignore")
 def rls_optimize(instance: TourInstance, config: RlsConfig) -> RlsResult:
     """Randomized local search: accept a mutation whenever it is not worse.
 

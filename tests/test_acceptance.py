@@ -304,7 +304,7 @@ def test_criterion7_total_distance_matches_the_dog_trace():
     for method in ("fat", "proposed:reverse"):
         # Seeds are per (cell, trial, stream), so one method per trial runs what a paired trial runs.
         outcomes, rows = run_recorded(run_trial, config, [method], base_seed=0, trial=3, iterations=200)
-        record = outcomes[method].run
+        record = outcomes[method].record
         assert record.success
         assert len(rows) == record.k_end + 1
         steps = np.diff(rows.dog_trace, axis=0)

@@ -155,7 +155,7 @@ def _recorded_trajectory(method, seed, n, horizon, rho="0.0012"):
     """trajectory.csv rendered row by row from a recording sink, and the run's k_end."""
     cfg = apply_assignments(default_scenario(), [("N", str(n)), ("T", str(horizon)), ("rho", rho)])
     outcomes, rows = run_recorded(run_trial, cfg, [method], base_seed=seed, trial=0, iterations=50)
-    return trajectory_text(rows.dog_trace, rows.sheep_traces), outcomes[method].run.k_end
+    return trajectory_text(rows.dog_trace, rows.sheep_traces), outcomes[method].record.k_end
 
 
 # A lone sheep at rho = 0.01 starts inside the goal disk, so its runs end at step 0.
@@ -246,6 +246,29 @@ def test_batch_writes_fat_rows_first_whatever_the_methods_order(tmp_path):
         summary = [row.split(",")[2] for row in runs[methods][1].decode().splitlines()[1:]]
         assert summary == ["fat", "proposed:jump"]
     assert runs["proposed:jump,fat"] == runs["fat,proposed:jump"]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_plan_simulate_and_batch_agree_on_trial_zero(tmp_path, seed):
+    # plan and simulate run trial 0 of the batch's cell: the same warmed flock, the same plan
+    # streams (cli and run_trial each name the stream plan:<strategy>), so the same numbers.
+    cell = ["--seed", seed, "--set", "N=5", "--set", "rho=0.01", "--set", "T=300", "--iterations", "200"]
+    assert run_cli(["batch", *cell, "--grid", "5;0.01", "--trials", "1", "--out", str(tmp_path / "batch")]) == 0
+    header, *lines = (tmp_path / "batch" / "trials.csv").read_text().splitlines()
+    rows = {row["method"]: row for row in (dict(zip(header.split(","), line.split(","))) for line in lines)}
+    assert tuple(rows) == ALL_METHODS
+    for method, row in rows.items():
+        out = tmp_path / method.replace(":", "_")
+        assert run_cli(["simulate", *cell, "--method", method, "--out", str(out / "simulate")]) == 0
+        run = read_kv(out / "simulate" / "run_summary.txt")
+        assert (run["success"], run["k_end"], run["total_distance"]) == (row["success"], row["k_end"], row["J"])
+        if method == "fat":
+            assert "tour_cost_initial" not in run and row["tour_cost_initial"] == row["tour_cost_final"] == ""
+            continue
+        assert run_cli(["plan", *cell, "--strategy", method.partition(":")[2], "--out", str(out / "plan")]) == 0
+        plan = read_kv(out / "plan" / "plan_summary.txt")
+        assert (plan["initial_cost"], plan["final_cost"]) == (run["tour_cost_initial"], run["tour_cost_final"])
+        assert (plan["initial_cost"], plan["final_cost"]) == (row["tour_cost_initial"], row["tour_cost_final"])
 
 
 # ---------------------------------------------------------------- error paths

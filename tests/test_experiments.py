@@ -64,10 +64,10 @@ def test_trial_runs_every_method_from_shared_start(tiny_trial):
     tiny_outcomes, rows = tiny_trial
     assert list(tiny_outcomes) == ALL_METHODS
     for method, outcome in tiny_outcomes.items():
-        assert outcome.method == method
-        assert outcome.run.success, f"{method} failed on the tiny cell"
+        assert outcome.record.method == method
+        assert outcome.record.success, f"{method} failed on the tiny cell"
     # The sink sees each method's episode in turn, k_end + 1 states each.
-    lengths = [o.run.k_end + 1 for o in tiny_outcomes.values()]
+    lengths = [o.record.k_end + 1 for o in tiny_outcomes.values()]
     assert len(rows) == sum(lengths)
     starts = [sum(lengths[:i]) for i in range(len(lengths))]
     # paired: identical warmed start means identical first dog position
@@ -76,17 +76,18 @@ def test_trial_runs_every_method_from_shared_start(tiny_trial):
 
 
 def test_baseline_has_no_plan_and_planned_methods_do(tiny_outcomes):
-    assert tiny_outcomes[METHOD_FAT].plan is None
+    fat = tiny_outcomes[METHOD_FAT].record
+    assert fat.tour_cost_initial is None and fat.tour_cost_final is None
     for strategy in ("reverse", "exchange", "jump"):
-        plan = tiny_outcomes[proposed_method(strategy)].plan
-        assert plan is not None
-        assert plan.best_cost <= plan.initial_cost
+        record = tiny_outcomes[proposed_method(strategy)].record
+        assert record.tour_cost_initial is not None
+        assert record.tour_cost_final <= record.tour_cost_initial
 
 
 def test_planned_methods_use_distinct_seed_streams(tiny_outcomes):
     # Different strategies draw from different streams, so their random
     # initial tours (and costs) almost surely differ.
-    initials = {tiny_outcomes[proposed_method(s)].plan.initial_cost
+    initials = {tiny_outcomes[proposed_method(s)].record.tour_cost_initial
                 for s in ("reverse", "exchange", "jump")}
     assert len(initials) > 1
 
@@ -94,7 +95,7 @@ def test_planned_methods_use_distinct_seed_streams(tiny_outcomes):
 def test_trial_is_deterministic(tiny_outcomes):
     again = run_trial(tiny_config(), ALL_METHODS, base_seed=0, trial=0, iterations=200)
     for method in ALL_METHODS:
-        a, b = tiny_outcomes[method].run, again[method].run
+        a, b = tiny_outcomes[method].record, again[method].record
         assert a.k_end == b.k_end
         assert a.total_distance == b.total_distance
 
@@ -247,20 +248,29 @@ def test_unrecorded_batch_matches_recorded_trials(monkeypatch, base_seed):
     # with a recording sink field for field, J by ==, full-horizon failures included.
     base = ScenarioConfig(horizon=300)
     grid = [(3, 0.01), (20, 0.0012)]
-    runs = []
+    runs, plans = [], []
 
-    def kept(fn):
+    def kept(fn, results):
         def wrapper(*args, **kwargs):
-            runs.append(fn(*args, **kwargs))
-            return runs[-1]
+            results.append(fn(*args, **kwargs))
+            return results[-1]
         return wrapper
 
-    monkeypatch.setattr(experiments, "run_fat", kept(experiments.run_fat))
-    monkeypatch.setattr(experiments, "run_proposed", kept(experiments.run_proposed))
+    monkeypatch.setattr(experiments, "run_fat", kept(experiments.run_fat, runs))
+    monkeypatch.setattr(experiments, "run_proposed", kept(experiments.run_proposed, runs))
+    monkeypatch.setattr(experiments, "rls_optimize", kept(experiments.rls_optimize, plans))
     records, _ = run_batch(base, grid, trials=2, strategies=["reverse", "exchange", "jump"],
                            base_seed=base_seed, iterations=200)
     assert len(runs) == len(records) == 16
     assert all(has_placeholder_traces(run, record.n) for run, record in zip(runs, records))
+    # Each row is its own episode's result, and a proposed row carries its own plan's two costs.
+    for run, record in zip(runs, records):
+        assert (record.success, record.k_end, record.total_distance) == (run.success, run.k_end, run.total_distance)
+    proposed = [r for r in records if r.method != METHOD_FAT]
+    assert len(plans) == len(proposed) == 12
+    for plan, record in zip(plans, proposed):
+        assert (record.tour_cost_initial, record.tour_cost_final) == (plan.initial_cost, plan.best_cost)
+    assert all(r.tour_cost_initial is None and r.tour_cost_final is None for r in records if r.method == METHOD_FAT)
     monkeypatch.undo()
 
     expected = []
@@ -270,11 +280,9 @@ def test_unrecorded_batch_matches_recorded_trials(monkeypatch, base_seed):
             for method in ALL_METHODS:
                 # One method per trial, so that each episode has a sink of its own.
                 outcomes, rows = run_recorded(run_trial, config, [method], base_seed, trial, 200)
-                run, plan = outcomes[method].run, outcomes[method].plan
-                assert len(rows) == run.k_end + 1
-                expected.append(TrialRecord(
-                    n, rho, trial, method, run.success, run.k_end, run.total_distance,
-                    None if plan is None else plan.initial_cost, None if plan is None else plan.best_cost))
+                record = outcomes[method].record
+                assert len(rows) == record.k_end + 1
+                expected.append(record)
     assert records == expected
     assert {(r.success, r.k_end == 300) for r in records} == {(True, False), (False, True)}
 

@@ -97,7 +97,7 @@ class _TrajectoryRows:
 
 
 def _phases_text(phases) -> str:
-    return "".join(f"{k},{phase.mode.value},{phase.nu}\n" for k, phase in phases)
+    return "".join(f"{k},{mode.value},{nu}\n" for k, mode, nu in phases)
 
 
 def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str | list[str]]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 
-from .guidance import GuidancePhase, run_fat, run_proposed
+from .guidance import GuidanceMode, run_fat, run_proposed
 from .placement import prepare_start_state
 from .routing import STRATEGIES, RlsConfig, TourInstance, rls_optimize
 from .scenario import ScenarioConfig, fmt, rho_key, stream_seed
@@ -49,10 +49,10 @@ class TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class MethodOutcome:
-    """One method's row of a trial, and its episode's phase change points for phases.csv."""
+    """One method's row of a trial, and its episode's phase rows for phases.csv."""
 
     record: TrialRecord
-    phases: tuple[tuple[int, GuidancePhase], ...]
+    phases: tuple[tuple[int, GuidanceMode, int], ...]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ position of the next sheep on the tour; when every sheep is collected it
 drives the whole flock to the goal. The baseline skips straight to the
 final drive over all sheep.
 
-An episode is a generator that owns its phase machine, phase list, sink,
-distance total and end check; _run_episode steps it and makes the kernel calls.
+An episode is a generator that owns its phase (two locals, mode and nu),
+phase rows, sink, distance total and end check; _run_episode steps it,
+keeps its neighbour list and makes the kernel calls.
 
 A FlockState is validated at the episode's boundaries only: the start
 state is one, and the end state is rebuilt through the checked
@@ -27,13 +28,13 @@ track and to stand off, and the drive's farthest sheep read the last
 two; the kernel reads the rest. flock.sheep_distances gives a gather
 target's row, once per step and again only when a collection moves the
 target within that step. The drive's candidates are the tour prefix,
-built once per phase. The kernel gets one neighbour list per
-episode. The kernel, the dog laws (two floats out) and the goal check
-are called through this module's names, where a tracer can wrap them.
+built once per phase. The kernel, the dog laws (two floats out) and the
+goal check are called through this module's names, where a tracer can
+wrap them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -52,14 +53,6 @@ class GuidanceMode(Enum):
     DONE = "done"
 
 
-@dataclass(frozen=True)
-class GuidancePhase:
-    """Phase snapshot: mode and next tour position nu (1-based); nu - 1 sheep are collected."""
-
-    mode: GuidanceMode
-    nu: int
-
-
 @dataclass(frozen=True, eq=False)
 class RunRecord:
     """Outcome of one episode.
@@ -68,9 +61,9 @@ class RunRecord:
     dog_trace and sheep_traces are read-only placeholders with zero rows,
     shapes (0, 2) and (0, N, 2): perfbench's per-episode hook reads their
     nbytes, and they can go once it no longer does.
-    phases holds the change points (k, phase): phase governs the steps
-    out of state k until the next entry. The last entry is the terminal
-    phase, DONE at k_end on success.
+    phases holds the change rows (k, mode, nu): mode and the next tour
+    position nu (1-based; nu - 1 sheep are collected) govern the steps out
+    of state k until the next row. The last row is (k_end, DONE, nu) on success.
     """
 
     success: bool
@@ -78,7 +71,7 @@ class RunRecord:
     total_distance: float
     dog_trace: np.ndarray
     sheep_traces: np.ndarray
-    phases: tuple[tuple[int, GuidancePhase], ...]
+    phases: tuple[tuple[int, GuidanceMode, int], ...]
 
 
 def goal_reached(to_goal: np.ndarray, goal: GoalSpec) -> bool:
@@ -88,11 +81,11 @@ def goal_reached(to_goal: np.ndarray, goal: GoalSpec) -> bool:
     return bool(_largest(to_goal) <= goal.radius)
 
 
-def _episode(scenario: ScenarioConfig, order: tuple[int, ...], mode: GuidanceMode, state: FlockState, sink):
-    """One episode: yields (state, near, measured) for each step's kernel call,
-    is sent the sheep velocities and returns the RunRecord. A collection is
-    tested on the step's state before the dog moves, so it changes the steering
-    within the same step. Started in FINAL_DRIVE it is the drive-only baseline."""
+def _episode(scenario: ScenarioConfig, order: tuple[int, ...], state: FlockState, sink):
+    """One episode: yields (state, measured) for each step's kernel call, is sent
+    the sheep velocities and returns the RunRecord. A collection is tested on the
+    step's state before the dog moves, so it changes the steering within the same
+    step. An empty order starts in FINAL_DRIVE: the drive-only baseline."""
     if state.n != scenario.n_sheep:
         raise ValueError(f"state has {state.n} sheep, scenario expects {scenario.n_sheep}")
 
@@ -103,46 +96,46 @@ def _episode(scenario: ScenarioConfig, order: tuple[int, ...], mode: GuidanceMod
     k = -1  # the last step taken; the loop may take none
     if sink is not None:
         sink(state)
-    phase, idx = GuidancePhase(mode, 1), None  # no prefix in a start mode
-    phases: list[tuple[int, GuidancePhase]] = []
+    mode = GuidanceMode.APPROACH_FIRST if len(order) else GuidanceMode.FINAL_DRIVE
+    nu, idx = 1, None  # no prefix in a start mode
+    phases: list[tuple[int, GuidanceMode, int]] = []
     total = 0.0
     success = goal_reached(measured[1][-1], goal)
 
     if not success:
         dog_x, dog_y = state.dog_pos.tolist()
-        near = NeighbourList()
         for k in range(scenario.horizon):
             pos = state.sheep_pos
             to_dog = measured[1][-2]
             to_target, collected = None, False
-            if phase.mode is GuidanceMode.APPROACH_FIRST:
+            if mode is GuidanceMode.APPROACH_FIRST:
                 collected = to_dog[order[0]] <= dog.r_d
-            elif phase.mode is GuidanceMode.PROVISIONAL_GATHER:
-                to_target = sheep_distances(state, measured, order[phase.nu - 1])
+            elif mode is GuidanceMode.PROVISIONAL_GATHER:
+                to_target = sheep_distances(state, measured, order[nu - 1])
                 collected = _largest(to_target.take(idx)) <= goal.radius
             if collected:
                 # The drive's candidates, built once per phase: the collected tour
                 # prefix, sorted, while gathering, and None (every sheep) in the drive.
                 # Python's sorted keeps numpy's sort code (about 0.4 MB resident) unloaded.
-                nu = phase.nu + 1
+                nu += 1
                 gathering = nu <= scenario.n_sheep
-                phase = GuidancePhase(GuidanceMode.PROVISIONAL_GATHER if gathering else GuidanceMode.FINAL_DRIVE, nu)
+                mode = GuidanceMode.PROVISIONAL_GATHER if gathering else GuidanceMode.FINAL_DRIVE
                 idx, to_target = np.array(sorted(order[: nu - 1])) if gathering else None, None  # target moved
             if collected or not phases:
-                phases.append((k, phase))
+                phases.append((k, mode, nu))
 
-            if phase.mode is GuidanceMode.APPROACH_FIRST:
+            if mode is GuidanceMode.APPROACH_FIRST:
                 vx, vy = approach_velocity(state, dog, pos[order[0]], to_dog)
             else:
-                if phase.mode is GuidanceMode.PROVISIONAL_GATHER:
-                    destination = pos[order[phase.nu - 1]]
+                if mode is GuidanceMode.PROVISIONAL_GATHER:
+                    destination = pos[order[nu - 1]]
                     if to_target is None:
-                        to_target = sheep_distances(state, measured, order[phase.nu - 1])
+                        to_target = sheep_distances(state, measured, order[nu - 1])
                 else:
                     destination, to_target = goal.center, measured[1][-1]
                 vx, vy = steering_command(state, dog, idx, destination, to_dog, to_target)
 
-            v_sheep = yield state, near, measured
+            v_sheep = yield state, measured
             dog_x += vx
             dog_y += vy
             state = _snapshot(pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
@@ -157,9 +150,8 @@ def _episode(scenario: ScenarioConfig, order: tuple[int, ...], mode: GuidanceMod
         FlockState(sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)
 
     k_end = k + 1
-    terminal = replace(phase, mode=GuidanceMode.DONE) if success else phase
-    if not phases or terminal is not phases[-1][1]:
-        phases.append((k_end, terminal))
+    if success or not phases:  # a failed episode that took a step ends on its last change
+        phases.append((k_end, GuidanceMode.DONE if success else mode, nu))
 
     dog_trace, sheep_traces = np.empty((0, 2)), np.empty((0, state.n, 2))
     dog_trace.setflags(write=False)
@@ -177,23 +169,23 @@ def _episode(scenario: ScenarioConfig, order: tuple[int, ...], mode: GuidanceMod
 # follow once a value is non-finite, and a nan or inf position persists to
 # that check. errstate changes no value, only warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_episode(scenario: ScenarioConfig, order, mode, state: FlockState, sink) -> RunRecord:
-    episode, sheep = _episode(scenario, order, mode, state, sink), scenario.sheep
+def _run_episode(scenario: ScenarioConfig, order, state: FlockState, sink) -> RunRecord:
+    episode, sheep, near = _episode(scenario, order, state, sink), scenario.sheep, NeighbourList()
     try:
-        state, near, measured = next(episode)
+        state, measured = next(episode)
         while True:
-            state, near, measured = episode.send(flock_velocities(state, sheep, near, measured))
+            state, measured = episode.send(flock_velocities(state, sheep, near, measured))
     except StopIteration as end:
         return end.value
 
 
 def run_fat(scenario: ScenarioConfig, initial_state: FlockState, *, sink=None) -> RunRecord:
     """Drive-only baseline episode; no tour is needed."""
-    return _run_episode(scenario, (), GuidanceMode.FINAL_DRIVE, initial_state, sink)
+    return _run_episode(scenario, (), initial_state, sink)
 
 
 def run_proposed(scenario: ScenarioConfig, tour: Tour, initial_state: FlockState, *, sink=None) -> RunRecord:
     """Tour-guided episode: approach, gather, final drive."""
     if tour.n != scenario.n_sheep:
         raise ValueError(f"tour over {tour.n} sheep does not match scenario of {scenario.n_sheep}")
-    return _run_episode(scenario, tour.order, GuidanceMode.APPROACH_FIRST, initial_state, sink)
+    return _run_episode(scenario, tour.order, initial_state, sink)

@@ -32,6 +32,7 @@ do not change, so neither do the tours, the costs or the trace.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -47,7 +48,10 @@ class Tour:
     order: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        order = tuple(int(i) for i in self.order)
+        try:
+            order = tuple(operator.index(i) for i in self.order)  # refuses floats, which int() truncates
+        except TypeError:
+            raise ValueError(f"tour entries must be integers: {self.order!r}") from None
         object.__setattr__(self, "order", order)
         if sorted(order) != list(range(len(order))):
             raise ValueError(f"not a permutation of 0..{len(order) - 1}: {order}")
@@ -251,7 +255,7 @@ def _first_hit(deltas, table: np.ndarray, path: list[int], a: np.ndarray, b: np.
 
 
 def random_tour(n: int, rng: np.random.Generator) -> Tour:
-    return Tour(tuple(int(i) for i in rng.permutation(n)))
+    return Tour(rng.permutation(n))
 
 
 # Entered once per search, not per _first_hit call: a window's sums near the largest

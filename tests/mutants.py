@@ -77,6 +77,15 @@ MUTANTS = [
     # No numpy float reduction enters src/ without a reason.
     ("src/sheepdog/flock.py", "    return values.item(values.argmax())", "    return values.item(values.argmax()) + 0.0 * values.sum()",
      ["tests/test_experiments.py::test_no_module_reduces_floats_through_numpy"]),
+    # A failed episode keeps its start row even when it took no step.
+    ("src/sheepdog/guidance.py", "    if success or not phases:", "    if success:",
+     ["tests/test_guidance.py::test_zero_horizon_fails_without_moving"]),
+    # A one-sheep tour starts with the approach too; only the baseline's empty order starts in the drive.
+    ("src/sheepdog/guidance.py", "APPROACH_FIRST if len(order) else", "APPROACH_FIRST if len(order) > 1 else",
+     ["tests/test_guidance.py::test_single_sheep_approach_then_drive"]),
+    # A tour refuses non-integer entries rather than truncating them to a permutation.
+    ("src/sheepdog/routing.py", "tuple(operator.index(i) for i in self.order)", "tuple(int(i) for i in self.order)",
+     ["tests/test_routing.py::test_tour_validation"]),
     # The search ignores the overflow of its windows' sums; numpy would warn of it.
     ("src/sheepdog/routing.py", '@np.errstate(over="ignore", invalid="ignore")\ndef rls_optimize(', "def rls_optimize(",
      ["tests/test_routing.py::test_windowed_and_scalar_scans_match_full_resum_oracle"]),

@@ -43,9 +43,9 @@ def make_state(sheep_pos, dog_pos):
 
 def mode_sequence(record):
     seq = []
-    for _, phase in record.phases:
-        if not seq or seq[-1] is not phase.mode:
-            seq.append(phase.mode)
+    for _, mode, _ in record.phases:
+        if not seq or seq[-1] is not mode:
+            seq.append(mode)
     return seq
 
 
@@ -93,7 +93,7 @@ def test_zero_horizon_fails_without_moving():
         assert run.total_distance == 0.0
         assert rows.dog_trace.shape == (1, 2)
         # Exactly the start phase, never DONE.
-        assert [(k, p.mode, p.nu) for k, p in run.phases] == [(0, start_mode, 1)]
+        assert run.phases == ((0, start_mode, 1),)
 
 
 def test_already_at_goal_succeeds_immediately():
@@ -104,7 +104,7 @@ def test_already_at_goal_succeeds_immediately():
         assert run.success
         assert run.k_end == 0
         assert run.total_distance == 0.0
-        assert [(k, p.mode, p.nu) for k, p in run.phases] == [(0, GuidanceMode.DONE, 1)]
+        assert run.phases == ((0, GuidanceMode.DONE, 1),)
 
 
 def test_first_contact_is_inclusive_at_r_d():
@@ -119,7 +119,7 @@ def test_first_contact_is_inclusive_at_r_d():
         assert np.hypot(*(first - dog)) == dx
         run = run_proposed(cfg, Tour((0, 1)), initial_state=make_state([first, [60.0, -60.0]], dog))
         assert not run.success and run.k_end == 1
-        assert [(k, p.mode, p.nu) for k, p in run.phases] == [(0, mode, nu)]
+        assert run.phases == ((0, mode, nu),)
 
 
 def test_mismatched_sizes_are_rejected():
@@ -229,13 +229,13 @@ def small_cell_run():
 def test_small_cell_episode_succeeds(small_cell_run):
     _, _, rec, _ = small_cell_run
     assert rec.success
-    k_last, last = rec.phases[-1]
-    assert (k_last, last.mode) == (rec.k_end, GuidanceMode.DONE)
+    k_last, last, _ = rec.phases[-1]
+    assert (k_last, last) == (rec.k_end, GuidanceMode.DONE)
 
 
 def test_phase_change_steps_are_strictly_increasing(small_cell_run):
     _, _, rec, _ = small_cell_run
-    steps = [k for k, _ in rec.phases]
+    steps = [k for k, _, _ in rec.phases]
     assert steps[0] == 0
     assert all(a < b for a, b in zip(steps, steps[1:]))
     assert steps[-1] <= rec.k_end
@@ -244,7 +244,7 @@ def test_phase_change_steps_are_strictly_increasing(small_cell_run):
 def test_each_phase_entry_is_a_change(small_cell_run):
     # One entry per change of (mode, nu): the rows phases.csv prints.
     _, _, rec, _ = small_cell_run
-    keys = [(p.mode, p.nu) for _, p in rec.phases]
+    keys = [(mode, nu) for _, mode, nu in rec.phases]
     assert all(a != b for a, b in zip(keys, keys[1:]))
 
 
@@ -259,7 +259,7 @@ def test_cut_short_run_keeps_only_its_changes(small_cell_run):
 
 def test_phase_modes_only_move_forward(small_cell_run):
     _, _, rec, _ = small_cell_run
-    ranks = [MODE_ORDER.index(p.mode) for _, p in rec.phases]
+    ranks = [MODE_ORDER.index(mode) for _, mode, _ in rec.phases]
     assert ranks == sorted(ranks)
 
 
@@ -269,7 +269,7 @@ def test_collected_grows_in_tour_order(small_cell_run):
     # nu - 1 is every sheep. The terminal entry keeps the drive's nu.
     _, tour, rec, _ = small_cell_run
     n = tour.n
-    assert [(p.mode, p.nu) for _, p in rec.phases] == [
+    assert [(mode, nu) for _, mode, nu in rec.phases] == [
         (GuidanceMode.APPROACH_FIRST, 1),
         *[(GuidanceMode.PROVISIONAL_GATHER, nu) for nu in range(2, n + 1)],
         (GuidanceMode.FINAL_DRIVE, n + 1),
@@ -470,8 +470,8 @@ def test_proposed_trace_matches_manual_stepping():
     assert rows.dog_trace.tobytes() == dog_trace.tobytes()
     assert rows.sheep_traces.tobytes() == sheep_traces.tobytes()
     assert rec.total_distance == total
-    assert [(k, p.mode, p.nu) for k, p in rec.phases[:-1]] == phases
-    assert (rec.phases[-1][0], rec.phases[-1][1].mode) == (rec.k_end, GuidanceMode.DONE)
+    assert list(rec.phases[:-1]) == phases
+    assert rec.phases[-1][:2] == (rec.k_end, GuidanceMode.DONE)
 
 
 def test_fat_run_mirrors_with_the_initial_condition():
@@ -527,6 +527,27 @@ def test_whole_episodes_are_equivariant_under_axis_symmetries(n, horizon, propos
         return run_recorded(run_fat, cfg, initial_state=state)
 
     rec, rows = episode(lambda a: a)
+    # The phase rows: the start row, one per collection, each raising nu by 1 with the
+    # modes only moving forward, and (k_end, DONE, nu) exactly when the episode succeeds.
+    # The start row is DONE at the goal, and the first collection's row when the
+    # first step starts in contact with the tour's first sheep.
+    at_goal = bool((np.hypot(*(sheep - goal).T) <= 20.0).all())
+    contact = proposed and horizon > 0 and np.hypot(*(sheep[tour.order[0]] - dog)) <= ScenarioConfig().dog.r_d
+    if at_goal:
+        start = (0, GuidanceMode.DONE, 1)
+    elif contact:
+        start = (0, GuidanceMode.PROVISIONAL_GATHER if n > 1 else GuidanceMode.FINAL_DRIVE, 2)
+    else:
+        start = (0, GuidanceMode.APPROACH_FIRST if proposed else GuidanceMode.FINAL_DRIVE, 1)
+    assert rec.phases[0] == start
+    steps, modes, _ = zip(*rec.phases)
+    assert all(a < b for a, b in zip(steps, steps[1:]))
+    ranks = [MODE_ORDER.index(mode) for mode in modes]
+    assert ranks == sorted(ranks)
+    for (_, _, before), (_, mode, nu) in zip(rec.phases, rec.phases[1:]):
+        assert nu == before + (mode is not GuidanceMode.DONE)
+    assert (rec.phases[-1][:2] == (rec.k_end, GuidanceMode.DONE)) == rec.success
+    assert modes.count(GuidanceMode.DONE) == int(rec.success)
     # UNIT_X stands in for the undefined direction in any such state, which breaks the symmetry by design.
     assume(not _unit_x_fires(rows, goal))
     f = AXIS_MAPS[axis_map]

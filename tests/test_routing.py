@@ -53,7 +53,17 @@ def test_tour_validation():
         Tour((0, 0, 1))
     with pytest.raises(ValueError):
         Tour((1, 2, 3))
+    # Non-integer entries are refused, not truncated to a permutation.
+    with pytest.raises(ValueError, match="integers"):
+        Tour((0.9, 1.2))
+    with pytest.raises(ValueError, match="integers"):
+        Tour(np.array([0.0, 1.0]))
     assert Tour((2, 0, 1)).n == 3
+    # numpy integers and Python bools are integers, and the order holds Python ints.
+    for order in (np.array([2, 0, 1], dtype=np.int32), (np.int64(1), np.int64(0)), (True, False)):
+        tour = Tour(order)
+        assert tour.order == tuple(int(i) for i in order)
+        assert all(type(i) is int for i in tour.order)
 
 
 def test_tour_cost_single_sheep():

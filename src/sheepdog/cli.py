@@ -24,8 +24,9 @@ from .experiments import (
     run_batch,
 )
 from .placement import prepare_start_state
-from .routing import STRATEGIES, RlsConfig, RlsResult, TourInstance, rls_optimize
-from .scenario import NUMBER, ScenarioConfig, apply_assignments, default_scenario, fmt, parse_config, stream_seed
+from .routing import STRATEGIES, RlsConfig, TourInstance, rls_optimize
+from .scenario import (NUMBER, ScenarioConfig, apply_assignments, default_scenario, fmt, parse_config, rows_text,
+                       stream_seed)
 
 
 def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
@@ -44,16 +45,6 @@ def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
     return apply_assignments(cfg, overrides)
 
 
-def _tour_text(order: tuple[int, ...]) -> str:
-    # Tour files are 1-based.
-    return "".join(f"{i + 1}\n" for i in order)
-
-
-def _trace_text(result: RlsResult) -> str:
-    lines = [f"{i + 1},{fmt(c)}" for i, c in enumerate(result.cost_trace)]
-    return "\n".join(lines) + "\n"
-
-
 def _key_values(**fields) -> str:
     """The summary files' format: one key=value line per field, in call order, floats through fmt."""
     return "".join(f"{key}={fmt(value) if isinstance(value, float) else value}\n" for key, value in fields.items())
@@ -67,7 +58,9 @@ def _cmd_plan(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str]:
     result = rls_optimize(TourInstance(start.dog_pos, start.sheep_pos, cfg.goal.center), config)
     summary = _key_values(strategy=args.strategy, iterations=args.iterations, seed=args.seed, N=cfg.n_sheep,
                           initial_cost=result.initial_cost, final_cost=result.best_cost)
-    return {"tour.txt": _tour_text(result.best_tour.order), "cost_trace.csv": _trace_text(result),
+    # Tour positions and iterations are numbered from 1.
+    return {"tour.txt": rows_text((str(i + 1),) for i in result.best_tour.order),
+            "cost_trace.csv": rows_text((str(i), fmt(c)) for i, c in enumerate(result.cost_trace, start=1)),
             "plan_summary.txt": summary}
 
 
@@ -96,10 +89,6 @@ class _TrajectoryRows:
         return self._blocks
 
 
-def _phases_text(phases) -> str:
-    return "".join(f"{k},{mode.value},{nu}\n" for k, mode, nu in phases)
-
-
 def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str | list[str]]:
     rows = _TrajectoryRows(cfg.n_sheep)
     outcome = run_trial(cfg, [args.method], args.seed, trial=0, iterations=args.iterations, sink=rows)[args.method]
@@ -108,7 +97,8 @@ def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, st
                           total_distance=record.total_distance)
     if record.tour_cost_initial is not None:
         summary += _key_values(tour_cost_initial=record.tour_cost_initial, tour_cost_final=record.tour_cost_final)
-    return {"trajectory.csv": rows.blocks(), "phases.csv": _phases_text(outcome.phases), "run_summary.txt": summary}
+    phases = rows_text((str(k), mode.value, str(nu)) for k, mode, nu in outcome.phases)
+    return {"trajectory.csv": rows.blocks(), "phases.csv": phases, "run_summary.txt": summary}
 
 
 def _parse_grid(raw: str) -> list[tuple[int, float]]:

@@ -13,7 +13,7 @@ from operator import add
 from .guidance import GuidanceMode, run_fat, run_proposed
 from .placement import prepare_start_state
 from .routing import STRATEGIES, RlsConfig, TourInstance, rls_optimize
-from .scenario import ScenarioConfig, fmt, rho_key, stream_seed
+from .scenario import ScenarioConfig, fmt, rho_key, rows_text, stream_seed
 
 METHOD_FAT = "fat"
 
@@ -166,21 +166,16 @@ def summarize(records: list[TrialRecord]) -> list[BatchSummary]:
     return summaries
 
 
-def _csv(header: str, rows) -> str:
-    """A header line, then one line of comma-joined cells per row."""
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
-
-
 def records_csv(records: list[TrialRecord]) -> str:
     """Per-trial table; tour cost fields are empty for the baseline."""
-    return _csv("N,rho,trial,method,success,k_end,J,tour_cost_initial,tour_cost_final", (
+    return "N,rho,trial,method,success,k_end,J,tour_cost_initial,tour_cost_final\n" + rows_text(
         (str(r.n), fmt(r.rho), str(r.trial), r.method, str(int(r.success)), str(r.k_end), fmt(r.total_distance),
          *("" if c is None else fmt(c) for c in (r.tour_cost_initial, r.tour_cost_final)))
-        for r in records))
+        for r in records)
 
 
 def summary_csv(summaries: list[BatchSummary]) -> str:
-    return _csv("N,rho,method,trials,success_rate,mean_J_successes,mean_J_all", (
+    return "N,rho,method,trials,success_rate,mean_J_successes,mean_J_all\n" + rows_text(
         (str(s.n), fmt(s.rho), s.method, str(s.trials),
          *map(fmt, (s.success_rate, s.mean_distance_successes, s.mean_distance_all)))
-        for s in summaries))
+        for s in summaries)

@@ -55,12 +55,9 @@ class GuidanceMode(Enum):
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """Outcome of one episode.
+    """Outcome of one episode: what it measured, k_end being the steps it took.
 
     The states themselves go to the episode's sink, if it has one.
-    dog_trace and sheep_traces are read-only placeholders with zero rows,
-    shapes (0, 2) and (0, N, 2): perfbench's per-episode hook reads their
-    nbytes, and they can go once it no longer does.
     phases holds the change rows (k, mode, nu): mode and the next tour
     position nu (1-based; nu - 1 sheep are collected) govern the steps out
     of state k until the next row. The last row is (k_end, DONE, nu) on success.
@@ -69,9 +66,12 @@ class RunRecord:
     success: bool
     k_end: int
     total_distance: float
-    dog_trace: np.ndarray
-    sheep_traces: np.ndarray
     phases: tuple[tuple[int, GuidanceMode, int], ...]
+
+    # No field: one read-only empty array shared by every record, as perfbench's
+    # per-episode hook still reads dog_trace.nbytes and sheep_traces.nbytes.
+    dog_trace = sheep_traces = np.empty(0)
+    dog_trace.setflags(write=False)
 
 
 def goal_reached(to_goal: np.ndarray, goal: GoalSpec) -> bool:
@@ -93,71 +93,62 @@ def _episode(scenario: ScenarioConfig, order: tuple[int, ...], state: FlockState
     points = pass_points(state.n, goal.center)  # rows -2 and -1: dog, goal
     measured = sheep_offsets(state, points)
 
-    k = -1  # the last step taken; the loop may take none
     if sink is not None:
         sink(state)
     mode = GuidanceMode.APPROACH_FIRST if len(order) else GuidanceMode.FINAL_DRIVE
     nu, idx = 1, None  # no prefix in a start mode
     phases: list[tuple[int, GuidanceMode, int]] = []
-    total = 0.0
+    k, total = 0, 0.0  # k counts the steps taken
     success = goal_reached(measured[1][-1], goal)
+    dog_x, dog_y = state.dog_pos.tolist()
 
-    if not success:
-        dog_x, dog_y = state.dog_pos.tolist()
-        for k in range(scenario.horizon):
-            pos = state.sheep_pos
-            to_dog = measured[1][-2]
-            to_target, collected = None, False
-            if mode is GuidanceMode.APPROACH_FIRST:
-                collected = to_dog[order[0]] <= dog.r_d
-            elif mode is GuidanceMode.PROVISIONAL_GATHER:
-                to_target = sheep_distances(state, measured, order[nu - 1])
-                collected = _largest(to_target.take(idx)) <= goal.radius
-            if collected:
-                # The drive's candidates, built once per phase: the collected tour
-                # prefix, sorted, while gathering, and None (every sheep) in the drive.
-                # Python's sorted keeps numpy's sort code (about 0.4 MB resident) unloaded.
-                nu += 1
-                gathering = nu <= scenario.n_sheep
-                mode = GuidanceMode.PROVISIONAL_GATHER if gathering else GuidanceMode.FINAL_DRIVE
-                idx, to_target = np.array(sorted(order[: nu - 1])) if gathering else None, None  # target moved
-            if collected or not phases:
-                phases.append((k, mode, nu))
+    while not success and k < scenario.horizon:
+        pos = state.sheep_pos
+        to_dog = measured[1][-2]
+        to_target, collected = None, False
+        if mode is GuidanceMode.APPROACH_FIRST:
+            collected = to_dog[order[0]] <= dog.r_d
+        elif mode is GuidanceMode.PROVISIONAL_GATHER:
+            to_target = sheep_distances(state, measured, order[nu - 1])
+            collected = _largest(to_target.take(idx)) <= goal.radius
+        if collected:
+            # The drive's candidates, built once per phase: the collected tour
+            # prefix, sorted, while gathering, and None (every sheep) in the drive.
+            # Python's sorted keeps numpy's sort code (about 0.4 MB resident) unloaded.
+            nu += 1
+            gathering = nu <= scenario.n_sheep
+            mode = GuidanceMode.PROVISIONAL_GATHER if gathering else GuidanceMode.FINAL_DRIVE
+            idx, to_target = np.array(sorted(order[: nu - 1])) if gathering else None, None  # target moved
+        if collected or not phases:
+            phases.append((k, mode, nu))
 
-            if mode is GuidanceMode.APPROACH_FIRST:
-                vx, vy = approach_velocity(state, dog, pos[order[0]], to_dog)
+        if mode is GuidanceMode.APPROACH_FIRST:
+            vx, vy = approach_velocity(state, dog, pos[order[0]], to_dog)
+        else:
+            if mode is GuidanceMode.PROVISIONAL_GATHER:
+                destination = pos[order[nu - 1]]
+                if to_target is None:
+                    to_target = sheep_distances(state, measured, order[nu - 1])
             else:
-                if mode is GuidanceMode.PROVISIONAL_GATHER:
-                    destination = pos[order[nu - 1]]
-                    if to_target is None:
-                        to_target = sheep_distances(state, measured, order[nu - 1])
-                else:
-                    destination, to_target = goal.center, measured[1][-1]
-                vx, vy = steering_command(state, dog, idx, destination, to_dog, to_target)
+                destination, to_target = goal.center, measured[1][-1]
+            vx, vy = steering_command(state, dog, idx, destination, to_dog, to_target)
 
-            v_sheep = yield state, measured
-            dog_x += vx
-            dog_y += vy
-            state = _snapshot(pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
-            total += _length(vx, vy)
-            if sink is not None:
-                sink(state)
-            measured = sheep_offsets(state, points)
-            if goal_reached(measured[1][-1], goal):
-                success = True
-                break
-        # The end state takes the checks that the steps skipped.
-        FlockState(sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)
+        v_sheep = yield state, measured
+        dog_x += vx
+        dog_y += vy
+        state = _snapshot(pos + v_sheep, v_sheep, np.array((dog_x, dog_y)))
+        total += _length(vx, vy)
+        if sink is not None:
+            sink(state)
+        measured = sheep_offsets(state, points)
+        k += 1
+        success = goal_reached(measured[1][-1], goal)
 
-    k_end = k + 1
+    # The end state takes the checks that the steps skipped; after no step it is the start state.
+    FlockState(sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)
     if success or not phases:  # a failed episode that took a step ends on its last change
-        phases.append((k_end, GuidanceMode.DONE if success else mode, nu))
-
-    dog_trace, sheep_traces = np.empty((0, 2)), np.empty((0, state.n, 2))
-    dog_trace.setflags(write=False)
-    sheep_traces.setflags(write=False)
-    return RunRecord(success=success, k_end=k_end, total_distance=total, dog_trace=dog_trace,
-                     sheep_traces=sheep_traces, phases=tuple(phases))
+        phases.append((k, GuidanceMode.DONE if success else mode, nu))
+    return RunRecord(success=success, k_end=k, total_distance=total, phases=tuple(phases))
 
 
 # Overflow and invalid-operation warnings are silenced once per episode, in

@@ -71,6 +71,11 @@ def fmt(x: float) -> str:
     return NUMBER % x
 
 
+def rows_text(rows) -> str:
+    """Every table's format: one line of comma-joined cells (strings) per row."""
+    return "".join([",".join(row) + "\n" for row in rows])
+
+
 _PAIR = "pair"  # two comma-separated floats
 
 # Config file keys in README's order: key -> (field path, kind).

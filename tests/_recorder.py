@@ -57,9 +57,6 @@ def trajectory_text(dog_trace: np.ndarray, sheep_traces: np.ndarray) -> str:
     )
 
 
-def has_placeholder_traces(run, n: int) -> bool:
-    """True when run's dog_trace and sheep_traces are the read-only, zero-byte
-    placeholders of shapes (0, 2) and (0, n, 2)."""
-    traces = (run.dog_trace, run.sheep_traces)
-    return ([t.shape for t in traces] == [(0, 2), (0, n, 2)]
-            and not any(t.flags.writeable or t.nbytes for t in traces))
+def has_placeholder_traces(run) -> bool:
+    """True when run's dog_trace and sheep_traces are read-only and zero bytes."""
+    return not any(t.flags.writeable or t.nbytes for t in (run.dog_trace, run.sheep_traces))

@@ -89,6 +89,25 @@ MUTANTS = [
     # The search ignores the overflow of its windows' sums; numpy would warn of it.
     ("src/sheepdog/routing.py", '@np.errstate(over="ignore", invalid="ignore")\ndef rls_optimize(', "def rls_optimize(",
      ["tests/test_routing.py::test_windowed_and_scalar_scans_match_full_resum_oracle"]),
+    # A sheep exactly g_r from the gather's target is collected.
+    ("src/sheepdog/guidance.py", "collected = _largest(to_target.take(idx)) <= goal.radius",
+     "collected = _largest(to_target.take(idx)) < goal.radius",
+     ["tests/test_guidance.py::test_gather_collection_is_inclusive_at_the_goal_radius"]),
+    # J adds each leg's length as np.hypot rounds it; math.hypot rounds some legs otherwise.
+    ("src/sheepdog/guidance.py", "total += _length(vx, vy)", 'total += __import__("math").hypot(vx, vy)',
+     ["tests/test_guidance.py::test_total_distance_adds_each_legs_hypot_in_step_order"]),
+    # The episode's last state goes through the checked constructor.
+    ("src/sheepdog/guidance.py",
+     "    FlockState(sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)\n", "",
+     ["tests/test_guidance.py::test_non_finite_state_mid_episode_raises"]),
+    # An episode takes at most T steps.
+    ("src/sheepdog/guidance.py", "k < scenario.horizon:", "k <= scenario.horizon:",
+     ["tests/test_guidance.py::test_zero_horizon_fails_without_moving"]),
+    # The records' shared trace placeholder is read-only.
+    ("src/sheepdog/guidance.py", "    dog_trace.setflags(write=False)\n", "",
+     ["tests/test_guidance.py::test_unrecorded_run_keeps_everything_but_the_traces"]),
+    # Every table ends its rows with a bare newline.
+    ("src/sheepdog/scenario.py", '",".join(row) + "\\n"', '",".join(row) + "\\r\\n"', ["tests/test_golden.py"]),
 ]
 
 

@@ -1,5 +1,7 @@
 """Episode orchestration: goal test, phase machine, both guidance laws."""
 import tracemalloc
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from _flock_oracle import dense_flock_velocities, offsets
 from _recorder import Recorder, has_placeholder_traces, run_recorded
 from sheepdog import flock, guidance
 from sheepdog.dog import dog_velocity
-from sheepdog.flock import FlockState, flock_velocities
+from sheepdog.flock import FlockState, SheepParams, flock_velocities
 from sheepdog.guidance import (
     GuidanceMode,
     goal_reached,
@@ -120,6 +122,21 @@ def test_first_contact_is_inclusive_at_r_d():
         run = run_proposed(cfg, Tour((0, 1)), initial_state=make_state([first, [60.0, -60.0]], dog))
         assert not run.success and run.k_end == 1
         assert run.phases == ((0, mode, nu),)
+
+
+def test_gather_collection_is_inclusive_at_the_goal_radius():
+    # A still flock (every gain 0): sheep 0 is in contact at step 0, and at
+    # step 1 sheep 1, exactly g_r from it, collects it, so the drive begins;
+    # one ulp farther out the gather goes on.
+    still = SheepParams(k_separation=0.0, k_alignment=0.0, k_cohesion=0.0, k_flight=0.0)
+    cfg = ScenarioConfig(n_sheep=2, rho=0.0012, horizon=2, sheep=still)
+    dog = np.array([-30.0, 50.0])
+    assert (cfg.dog.r_d, cfg.goal.radius) == (30.0, 20.0)
+    gather = (0, GuidanceMode.PROVISIONAL_GATHER, 2)
+    for dx, phases in ((20.0, (gather, (1, GuidanceMode.FINAL_DRIVE, 3))), (np.nextafter(20.0, np.inf), (gather,))):
+        run = run_proposed(cfg, Tour((0, 1)), initial_state=make_state([[0.0, 50.0], [dx, 50.0]], dog))
+        assert not run.success and run.k_end == 2
+        assert run.phases == phases
 
 
 def test_mismatched_sizes_are_rejected():
@@ -293,6 +310,38 @@ def test_traces_and_distance_are_consistent(small_cell_run):
     assert rec.total_distance == pytest.approx(recomputed, rel=1e-9)
 
 
+def test_total_distance_adds_each_legs_hypot_in_step_order(monkeypatch):
+    # J is each step's dog velocity length as np.hypot gives it, added left to
+    # right from 0.0. A long episode's total absorbs a one-ulp change in a leg,
+    # so the legs' rounding is read from one-step episodes, whose J is their one
+    # leg: math.hypot rounds 8 of these 2,000 legs otherwise.
+    legs = []
+
+    def recorded(law):
+        def wrapper(*args):
+            legs.append(law(*args))
+            return legs[-1]
+        return wrapper
+
+    monkeypatch.setattr(guidance, "approach_velocity", recorded(guidance.approach_velocity))
+    monkeypatch.setattr(guidance, "steering_command", recorded(guidance.steering_command))
+
+    def assert_total_is_the_legs_sum(rec):
+        assert len(legs) == rec.k_end
+        assert rec.total_distance == reduce(add, (np.hypot(vx, vy) for vx, vy in legs), 0.0)
+        legs.clear()
+
+    one_step, rng = ScenarioConfig(n_sheep=3, rho=0.0012, horizon=1), np.random.default_rng(0)
+    for _ in range(1000):
+        state = make_state(rng.uniform(-100.0, 100.0, (3, 2)), rng.uniform(-100.0, 100.0, 2))
+        assert_total_is_the_legs_sum(run_fat(one_step, initial_state=state))
+        assert_total_is_the_legs_sum(run_proposed(one_step, Tour((0, 1, 2)), initial_state=state))
+    cfg = ScenarioConfig(n_sheep=20, rho=0.0012, horizon=2000)
+    rec = run_fat(cfg, initial_state=prepare_start_state(cfg, base_seed=0, trial=0))
+    assert rec.k_end == 2000
+    assert_total_is_the_legs_sum(rec)
+
+
 def test_episode_is_deterministic(small_cell_run):
     cfg, tour, rec, rows = small_cell_run
     state = prepare_start_state(cfg, base_seed=0, trial=0)
@@ -307,7 +356,7 @@ def _assert_same_run_without_traces(bare, rec, rows):
     # bare ran without a sink, rec with the recording sink that filled rows.
     assert rows.dog_trace.shape[0] == rec.k_end + 1
     for run in (bare, rec):
-        assert has_placeholder_traces(run, rows.sheep_traces.shape[1])
+        assert has_placeholder_traces(run)
     assert (bare.success, bare.k_end, bare.total_distance) == (rec.success, rec.k_end, rec.total_distance)
     assert bare.phases == rec.phases
 

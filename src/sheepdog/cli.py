@@ -91,13 +91,12 @@ class _TrajectoryRows:
 
 def _cmd_simulate(args: argparse.Namespace, cfg: ScenarioConfig) -> dict[str, str | list[str]]:
     rows = _TrajectoryRows(cfg.n_sheep)
-    outcome = run_trial(cfg, [args.method], args.seed, trial=0, iterations=args.iterations, sink=rows)[args.method]
-    record = outcome.record
+    record = run_trial(cfg, [args.method], args.seed, trial=0, iterations=args.iterations, sink=rows)[args.method]
     summary = _key_values(method=args.method, seed=args.seed, success=int(record.success), k_end=record.k_end,
                           total_distance=record.total_distance)
     if record.tour_cost_initial is not None:
         summary += _key_values(tour_cost_initial=record.tour_cost_initial, tour_cost_final=record.tour_cost_final)
-    phases = rows_text((str(k), mode.value, str(nu)) for k, mode, nu in outcome.phases)
+    phases = rows_text((str(k), mode.value, str(nu)) for k, mode, nu in record.phases)
     return {"trajectory.csv": rows.blocks(), "phases.csv": phases, "run_summary.txt": summary}
 
 

@@ -34,7 +34,7 @@ def method_strategy(method: str) -> str | None:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One line of the per-trial results table."""
+    """One line of the per-trial results table, and its episode's phase rows for phases.csv (no column)."""
 
     n: int
     rho: float
@@ -45,13 +45,6 @@ class TrialRecord:
     total_distance: float
     tour_cost_initial: float | None
     tour_cost_final: float | None
-
-
-@dataclass(frozen=True, eq=False)
-class MethodOutcome:
-    """One method's row of a trial, and its episode's phase rows for phases.csv."""
-
-    record: TrialRecord
     phases: tuple[tuple[int, GuidanceMode, int], ...]
 
 
@@ -77,15 +70,15 @@ def run_trial(
     iterations: int,
     *,
     sink=None,
-) -> dict[str, MethodOutcome]:
-    """Run every method once from the shared warmed start state; each method's outcome holds its
-    results-table row, built right after its episode. sink, if given, sees the states of each
-    method's episode in turn; a batch keeps no states and passes none."""
+) -> dict[str, TrialRecord]:
+    """Run every method once from the shared warmed start state; returns each method's record, in
+    methods order, built right after its episode. sink, if given, sees the states of each method's
+    episode in turn; a batch keeps no states and passes none."""
     if iterations < 1:  # checked here too: a trial with no proposed method builds no RlsConfig
         raise ValueError(f"iterations must be positive, got {iterations}")
     start = prepare_start_state(config, base_seed=base_seed, trial=trial)
     instance = TourInstance(start.dog_pos, start.sheep_pos, config.goal.center)
-    outcomes: dict[str, MethodOutcome] = {}
+    records: dict[str, TrialRecord] = {}
     for method in methods:
         strategy = method_strategy(method)
         if strategy is None:
@@ -95,10 +88,9 @@ def run_trial(
             plan = rls_optimize(instance, RlsConfig(strategy, iterations, seed))
             run = run_proposed(config, plan.best_tour, initial_state=start, sink=sink)
             costs = plan.initial_cost, plan.best_cost
-        record = TrialRecord(config.n_sheep, config.rho, trial, method, run.success, run.k_end, run.total_distance,
-                             *costs)
-        outcomes[method] = MethodOutcome(record, run.phases)
-    return outcomes
+        records[method] = TrialRecord(config.n_sheep, config.rho, trial, method, run.success, run.k_end,
+                                      run.total_distance, *costs, run.phases)
+    return records
 
 
 def run_batch(
@@ -132,8 +124,7 @@ def run_batch(
     records: list[TrialRecord] = []
     for config in configs:
         for trial in range(trials):
-            outcomes = run_trial(config, methods, base_seed, trial, iterations)
-            records.extend(outcomes[m].record for m in methods)
+            records.extend(run_trial(config, methods, base_seed, trial, iterations).values())
     return records, summarize(records)
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -9,6 +10,17 @@ import numpy as np
 
 from .dog import DogParams
 from .flock import SheepParams, as_point
+
+
+def _count(name: str, value, least: int = 0) -> int:
+    """value as an int of at least least; operator.index refuses a float, which int() would truncate."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be {f'at least {least}' if least else 'non-negative'}, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +55,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dog_start", as_point(self.dog_start))
-        if self.n_sheep < 1:
-            raise ValueError("N must be at least 1")
+        for name, key, least in (("n_sheep", "N", 1), ("horizon", "T", 0), ("warmup_steps", "warmup_steps", 0)):
+            object.__setattr__(self, name, _count(key, getattr(self, name), least))
         if not 0 < self.rho < math.inf:
             raise ValueError("rho must be positive and finite")
         # rho_key takes rho * 1e10; the placement radius is sqrt(N / (pi * rho)).
@@ -53,10 +65,6 @@ class ScenarioConfig:
         (gx, gy), (dx, dy) = self.goal.center.tolist(), self.dog_start.tolist()
         if not math.isfinite(math.hypot(gx - dx, gy - dy)):
             raise ValueError(f"x_g={gx!r},{gy!r} and x_d0={dx!r},{dy!r} are out of range: their distance is not finite")
-        if self.horizon < 0:
-            raise ValueError("T must be non-negative")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be non-negative")
 
 
 def default_scenario() -> ScenarioConfig:
@@ -154,11 +162,8 @@ def stream_seed(base_seed: int, n: int, rho: float, trial: int, stream: str) -> 
     Pure in its arguments, so adding grid cells or trials never perturbs
     the streams of existing ones.
     """
-    for name, value in (("base_seed", base_seed), ("n", n), ("trial", trial)):
-        if value < 0:  # SeedSequence's own error would name none of them
-            raise ValueError(f"{name} must be non-negative, got {value}")
+    # Each is checked by name, as SeedSequence's own error would name none of them.
+    base_seed, n, trial = _count("base_seed", base_seed), _count("n", n), _count("trial", trial)
     label = zlib.crc32(stream.encode("ascii"))
-    ss = np.random.SeedSequence(
-        entropy=[int(base_seed), int(n), rho_key(rho), int(trial), label]
-    )
+    ss = np.random.SeedSequence(entropy=[base_seed, n, rho_key(rho), trial, label])
     return int(ss.generate_state(1, np.uint64)[0])

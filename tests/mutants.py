@@ -58,9 +58,19 @@ MUTANTS = [
     ("src/sheepdog/cli.py", 'f"plan:{args.strategy}"', 'f"plan-{args.strategy}"',
      ["tests/test_cli.py::test_plan_simulate_and_batch_agree_on_trial_zero"]),
     # Seeds are pure per (cell, trial, stream): no cell's place in the grid enters them.
-    ("src/sheepdog/experiments.py", "outcomes = run_trial(config, methods, base_seed, trial, iterations)",
-     "outcomes = run_trial(config, methods, base_seed + configs.index(config), trial, iterations)",
+    ("src/sheepdog/experiments.py", "records.extend(run_trial(config, methods, base_seed, trial, iterations)",
+     "records.extend(run_trial(config, methods, base_seed + configs.index(config), trial, iterations)",
      ["tests/test_experiments.py::test_a_batch_equals_its_cells_and_its_methods_run_apart"]),
+    # A record carries its own episode's phase rows, which simulate prints as phases.csv.
+    ("src/sheepdog/experiments.py", "*costs, run.phases)", "*costs, ())",
+     ["tests/test_golden.py", "tests/test_experiments.py::test_unrecorded_batch_matches_recorded_trials"]),
+    # A count is refused, not truncated, when it is not an integer.
+    ("src/sheepdog/scenario.py", "_count(key, getattr(self, name), least)", "_count(key, int(getattr(self, name)), least)",
+     ["tests/test_scenario.py::test_validation_errors"]),
+    # So is a seed stream's base seed, N or trial.
+    ("src/sheepdog/scenario.py", '_count("base_seed", base_seed), _count("n", n), _count("trial", trial)',
+     '_count("base_seed", int(base_seed)), _count("n", int(n)), _count("trial", int(trial))',
+     ["tests/test_scenario.py::test_stream_seed_rejects_a_negative_base_seed"]),
     # The batched nearest pick falls back on the first candidate when all are +inf away.
     ("tests/_dog_oracle.py",
      "    nearest = np.where(masked[rows, nearest] == np.inf, candidates.argmax(axis=1), nearest)\n", "",

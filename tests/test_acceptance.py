@@ -303,8 +303,8 @@ def test_criterion7_total_distance_matches_the_dog_trace():
     config = ScenarioConfig(n_sheep=5, rho=0.01, horizon=5000)
     for method in ("fat", "proposed:reverse"):
         # Seeds are per (cell, trial, stream), so one method per trial runs what a paired trial runs.
-        outcomes, rows = run_recorded(run_trial, config, [method], base_seed=0, trial=3, iterations=200)
-        record = outcomes[method].record
+        records, rows = run_recorded(run_trial, config, [method], base_seed=0, trial=3, iterations=200)
+        record = records[method]
         assert record.success
         assert len(rows) == record.k_end + 1
         steps = np.diff(rows.dog_trace, axis=0)

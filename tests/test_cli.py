@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from _recorder import run_recorded, trajectory_text
 from sheepdog import cli
 from sheepdog.cli import TRAJECTORY_BLOCK, _TrajectoryRows, run_cli
-from sheepdog.experiments import ALL_METHODS, run_trial
+from sheepdog.experiments import ALL_METHODS, records_csv, run_batch, run_trial
+from sheepdog.routing import STRATEGIES
 from sheepdog.scenario import _CONFIG_KEYS, _PAIR, apply_assignments, default_scenario, fmt
 from test_scenario import dump_config
 
@@ -154,8 +155,8 @@ def _simulate_files(method, seed, n, horizon, rho="0.0012"):
 def _recorded_trajectory(method, seed, n, horizon, rho="0.0012"):
     """trajectory.csv rendered row by row from a recording sink, and the run's k_end."""
     cfg = apply_assignments(default_scenario(), [("N", str(n)), ("T", str(horizon)), ("rho", rho)])
-    outcomes, rows = run_recorded(run_trial, cfg, [method], base_seed=seed, trial=0, iterations=50)
-    return trajectory_text(rows.dog_trace, rows.sheep_traces), outcomes[method].record.k_end
+    records, rows = run_recorded(run_trial, cfg, [method], base_seed=seed, trial=0, iterations=50)
+    return trajectory_text(rows.dog_trace, rows.sheep_traces), records[method].k_end
 
 
 # A lone sheep at rho = 0.01 starts inside the goal disk, so its runs end at step 0.
@@ -254,7 +255,13 @@ def test_plan_simulate_and_batch_agree_on_trial_zero(tmp_path, seed):
     # streams (cli and run_trial each name the stream plan:<strategy>), so the same numbers.
     cell = ["--seed", seed, "--set", "N=5", "--set", "rho=0.01", "--set", "T=300", "--iterations", "200"]
     assert run_cli(["batch", *cell, "--grid", "5;0.01", "--trials", "1", "--out", str(tmp_path / "batch")]) == 0
-    header, *lines = (tmp_path / "batch" / "trials.csv").read_text().splitlines()
+    trials_csv = (tmp_path / "batch" / "trials.csv").read_text()
+    # The same batch in-process: its records print trials.csv, and each carries its episode's phase rows.
+    cfg = apply_assignments(default_scenario(), [("N", "5"), ("rho", "0.01"), ("T", "300")])
+    records, _ = run_batch(cfg, [(5, 0.01)], 1, list(STRATEGIES), int(seed), 200)
+    assert records_csv(records) == trials_csv
+    phases = {r.method: "".join(f"{k},{mode.value},{nu}\n" for k, mode, nu in r.phases) for r in records}
+    header, *lines = trials_csv.splitlines()
     rows = {row["method"]: row for row in (dict(zip(header.split(","), line.split(","))) for line in lines)}
     assert tuple(rows) == ALL_METHODS
     for method, row in rows.items():
@@ -262,6 +269,7 @@ def test_plan_simulate_and_batch_agree_on_trial_zero(tmp_path, seed):
         assert run_cli(["simulate", *cell, "--method", method, "--out", str(out / "simulate")]) == 0
         run = read_kv(out / "simulate" / "run_summary.txt")
         assert (run["success"], run["k_end"], run["total_distance"]) == (row["success"], row["k_end"], row["J"])
+        assert (out / "simulate" / "phases.csv").read_text() == phases[method]
         if method == "fat":
             assert "tour_cost_initial" not in run and row["tour_cost_initial"] == row["tour_cost_final"] == ""
             continue

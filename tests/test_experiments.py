@@ -40,7 +40,7 @@ def tiny_trial():
 
 
 @pytest.fixture(scope="module")
-def tiny_outcomes(tiny_trial):
+def tiny_records(tiny_trial):
     return tiny_trial[0]
 
 
@@ -61,13 +61,13 @@ def test_unknown_method_names_are_rejected():
 # ------------------------------------------------------------------- run_trial
 
 def test_trial_runs_every_method_from_shared_start(tiny_trial):
-    tiny_outcomes, rows = tiny_trial
-    assert list(tiny_outcomes) == ALL_METHODS
-    for method, outcome in tiny_outcomes.items():
-        assert outcome.record.method == method
-        assert outcome.record.success, f"{method} failed on the tiny cell"
+    tiny_records, rows = tiny_trial
+    assert list(tiny_records) == ALL_METHODS
+    for method, record in tiny_records.items():
+        assert record.method == method
+        assert record.success, f"{method} failed on the tiny cell"
     # The sink sees each method's episode in turn, k_end + 1 states each.
-    lengths = [o.record.k_end + 1 for o in tiny_outcomes.values()]
+    lengths = [r.k_end + 1 for r in tiny_records.values()]
     assert len(rows) == sum(lengths)
     starts = [sum(lengths[:i]) for i in range(len(lengths))]
     # paired: identical warmed start means identical first dog position
@@ -75,27 +75,27 @@ def test_trial_runs_every_method_from_shared_start(tiny_trial):
     assert len(first) == 1
 
 
-def test_baseline_has_no_plan_and_planned_methods_do(tiny_outcomes):
-    fat = tiny_outcomes[METHOD_FAT].record
+def test_baseline_has_no_plan_and_planned_methods_do(tiny_records):
+    fat = tiny_records[METHOD_FAT]
     assert fat.tour_cost_initial is None and fat.tour_cost_final is None
     for strategy in ("reverse", "exchange", "jump"):
-        record = tiny_outcomes[proposed_method(strategy)].record
+        record = tiny_records[proposed_method(strategy)]
         assert record.tour_cost_initial is not None
         assert record.tour_cost_final <= record.tour_cost_initial
 
 
-def test_planned_methods_use_distinct_seed_streams(tiny_outcomes):
+def test_planned_methods_use_distinct_seed_streams(tiny_records):
     # Different strategies draw from different streams, so their random
     # initial tours (and costs) almost surely differ.
-    initials = {tiny_outcomes[proposed_method(s)].record.tour_cost_initial
+    initials = {tiny_records[proposed_method(s)].tour_cost_initial
                 for s in ("reverse", "exchange", "jump")}
     assert len(initials) > 1
 
 
-def test_trial_is_deterministic(tiny_outcomes):
+def test_trial_is_deterministic(tiny_records):
     again = run_trial(tiny_config(), ALL_METHODS, base_seed=0, trial=0, iterations=200)
     for method in ALL_METHODS:
-        a, b = tiny_outcomes[method].record, again[method].record
+        a, b = tiny_records[method], again[method]
         assert a.k_end == b.k_end
         assert a.total_distance == b.total_distance
 
@@ -217,7 +217,7 @@ def test_trial_rejects_a_negative_trial_before_placement(monkeypatch):
 def test_a_batch_equals_its_cells_and_its_methods_run_apart(grid, horizon, iterations, trials, fat, strategies,
                                                             base_seed):
     # Seeds are pure per (cell, trial, stream), so no split of a batch's
-    # work changes a record.
+    # work changes a record, its phase rows included.
     if not fat and not strategies:
         strategies = ["reverse"]
     base = ScenarioConfig(horizon=horizon)
@@ -263,9 +263,10 @@ def test_unrecorded_batch_matches_recorded_trials(monkeypatch, base_seed):
                            base_seed=base_seed, iterations=200)
     assert len(runs) == len(records) == 16
     assert all(map(has_placeholder_traces, runs))
-    # Each row is its own episode's result, and a proposed row carries its own plan's two costs.
+    # Each row is its own episode's result and phase rows, and a proposed row carries its own plan's two costs.
     for run, record in zip(runs, records):
-        assert (record.success, record.k_end, record.total_distance) == (run.success, run.k_end, run.total_distance)
+        assert ((record.success, record.k_end, record.total_distance, record.phases)
+                == (run.success, run.k_end, run.total_distance, run.phases))
     proposed = [r for r in records if r.method != METHOD_FAT]
     assert len(plans) == len(proposed) == 12
     for plan, record in zip(plans, proposed):
@@ -279,8 +280,8 @@ def test_unrecorded_batch_matches_recorded_trials(monkeypatch, base_seed):
         for trial in range(2):
             for method in ALL_METHODS:
                 # One method per trial, so that each episode has a sink of its own.
-                outcomes, rows = run_recorded(run_trial, config, [method], base_seed, trial, 200)
-                record = outcomes[method].record
+                records_apart, rows = run_recorded(run_trial, config, [method], base_seed, trial, 200)
+                record = records_apart[method]
                 assert len(rows) == record.k_end + 1
                 expected.append(record)
     assert records == expected
@@ -291,7 +292,7 @@ def test_summary_mean_over_successes_is_nan_when_none_succeed():
     failed = [
         TrialRecord(n=5, rho=0.001, trial=t, method="fat", success=False,
                     k_end=100, total_distance=250.0, tour_cost_initial=None,
-                    tour_cost_final=None)
+                    tour_cost_final=None, phases=())
         for t in range(3)
     ]
     (s,) = summarize(failed)
@@ -305,7 +306,7 @@ def test_summary_of_one_successful_trial_is_that_trial():
     # A group of one: the rate divides by one trial and the mean over
     # successes is that trial's J, not a share of a larger count.
     won = TrialRecord(n=5, rho=0.001, trial=0, method="proposed:reverse", success=True, k_end=412,
-                      total_distance=1234.5678, tour_cost_initial=300.0, tour_cost_final=250.0)
+                      total_distance=1234.5678, tour_cost_initial=300.0, tour_cost_final=250.0, phases=())
     (s,) = summarize([won])
     assert (s.trials, s.successes) == (1, 1)
     assert s.success_rate == 1.0
@@ -318,7 +319,7 @@ def test_summary_means_add_left_to_right_from_zero():
     # on) keeps them; the two means differ in their bits.
     js = [1e16, 1.0, 1.0]
     recs = [TrialRecord(n=5, rho=0.001, trial=t, method="fat", success=True, k_end=10, total_distance=j,
-                        tour_cost_initial=None, tour_cost_final=None) for t, j in enumerate(js)]
+                        tour_cost_initial=None, tour_cost_final=None, phases=()) for t, j in enumerate(js)]
     (s,) = summarize(recs)
     left_to_right = ((0.0 + js[0]) + js[1]) + js[2]
     assert left_to_right / 3 != math.fsum(js) / 3

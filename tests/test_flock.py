@@ -308,8 +308,8 @@ def test_large_fat_episode_is_bitwise_the_dense_oracle(monkeypatch):
         for n, methods in runs:
             cfg = ScenarioConfig(n_sheep=n, rho=0.0012, horizon=200)
             rows = Recorder()
-            outcomes = run_trial(cfg, methods, 0, 0, 200, sink=rows)
-            out.append(([(o.record.success, o.record.k_end, o.record.total_distance) for o in outcomes.values()], rows))
+            records = run_trial(cfg, methods, 0, 0, 200, sink=rows)
+            out.append(([(r.success, r.k_end, r.total_distance) for r in records.values()], rows))
         return out
 
     listed = episodes()

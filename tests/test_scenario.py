@@ -1,5 +1,7 @@
 """Scenario configuration: defaults, file format round-trip, seed streams."""
 import math
+import re
+from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
@@ -215,6 +217,16 @@ def test_validation_errors():
     far_goal = GoalSpec(center=np.array([1e308, 0.0]), radius=20.0)
     with pytest.raises(ValueError, match="x_g=.* and x_d0=.* are out of range"):
         ScenarioConfig(goal=far_goal, dog_start=np.array([-1e308, 0.0]))
+    # Counts are integers: T=1.5 would run two steps, and a float N or warmup_steps
+    # would raise numpy's or range()'s TypeError, which names no field.
+    for field, key, value in (("n_sheep", "N", 20.0), ("horizon", "T", 1.5), ("warmup_steps", "warmup_steps", 2.5),
+                              ("n_sheep", "N", np.float64(20.0))):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"):
+            replace(default_scenario(), **{field: value})
+    # numpy ints are integers, and each count is stored as a Python int.
+    counts = ScenarioConfig(n_sheep=np.int64(20), horizon=np.int32(300), warmup_steps=np.uint8(50))
+    assert [(type(v), v) for v in (counts.n_sheep, counts.horizon, counts.warmup_steps)] == [
+        (int, 20), (int, 300), (int, 50)]
 
 
 def test_stream_seed_is_pure_and_stream_separated():
@@ -242,3 +254,11 @@ def test_stream_seed_rejects_a_negative_base_seed():
     for (base_seed, n, trial), name in (((-1, 20, 0), "base_seed"), ((0, -1, 0), "n"), ((0, 20, -1), "trial")):
         with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
             stream_seed(base_seed, n, 0.0012, trial, "placement")
+    # A float is refused, not truncated: trial 1.5 would be trial 1's seed, and base seed 0.9 seed 0's.
+    for (base_seed, n, trial), name, value in (((0.9, 20, 0), "base_seed", "0.9"), ((0, 20.0, 0), "n", "20.0"),
+                                               ((0, 20, 1.5), "trial", "1.5")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            stream_seed(base_seed, n, 0.0012, trial, "placement")
+    # numpy ints are integers, and seed as the same Python ints.
+    assert stream_seed(np.int64(3), np.int32(20), 0.0012, np.uint8(1), "placement") == stream_seed(
+        3, 20, 0.0012, 1, "placement")

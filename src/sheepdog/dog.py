@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flock import EPS, FlockState
+from .flock import EPS, FlockState, _real
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,9 @@ class DogParams:
     k_goal_repulsion: float = 4.5
 
     def __post_init__(self) -> None:
-        if not 0 < self.r_d < math.inf:
-            raise ValueError("r_d must be positive and finite")
+        _real("r_d", self.r_d, positive=True)
         for name in ("k_attraction", "k_repulsion", "k_goal_repulsion"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+            _real(name, getattr(self, name))
 
 
 def _pick(dist: np.ndarray, idx: np.ndarray | None, farthest: bool) -> int:

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 
+from .flock import _count
 from .guidance import GuidanceMode, run_fat, run_proposed
 from .placement import prepare_start_state
 from .routing import STRATEGIES, RlsConfig, TourInstance, rls_optimize
@@ -74,13 +75,14 @@ def run_trial(
     """Run every method once from the shared warmed start state; returns each method's record, in
     methods order, built right after its episode. sink, if given, sees the states of each method's
     episode in turn; a batch keeps no states and passes none."""
-    if iterations < 1:  # checked here too: a trial with no proposed method builds no RlsConfig
-        raise ValueError(f"iterations must be positive, got {iterations}")
+    iterations = _count("iterations", iterations, 1)  # checked here too: a fat-only trial builds no RlsConfig
+    strategies = {method: method_strategy(method) for method in methods}
+    if len(strategies) < len(methods):  # the records are keyed by method: a repeat would run twice, report once
+        raise ValueError(f"bad methods {methods}: one given more than once")
     start = prepare_start_state(config, base_seed=base_seed, trial=trial)
     instance = TourInstance(start.dog_pos, start.sheep_pos, config.goal.center)
     records: dict[str, TrialRecord] = {}
-    for method in methods:
-        strategy = method_strategy(method)
+    for method, strategy in strategies.items():
         if strategy is None:
             run, costs = run_fat(config, initial_state=start, sink=sink), (None, None)
         else:
@@ -103,9 +105,7 @@ def run_batch(
     include_fat: bool = True,
 ) -> tuple[list[TrialRecord], list[BatchSummary]]:
     """Paired trials for every grid cell; returns per-trial records and summaries."""
-    for name, count in (("trials", trials), ("iterations", iterations)):
-        if count < 1:
-            raise ValueError(f"{name} must be positive, got {count}")
+    trials, iterations = _count("trials", trials, 1), _count("iterations", iterations, 1)
     methods = ([METHOD_FAT] if include_fat else []) + [proposed_method(s) for s in strategies]
     if not methods or len(set(methods)) < len(methods):
         raise ValueError(f"bad methods {methods}: none selected, or one given more than once")

@@ -35,11 +35,13 @@ in ascending neighbor order starting from +0, and the masked-out terms
 a dense sum would add are exact zeros, which change no non-zero partial
 sum and leave a zero sum at +0.
 
-The module also holds the package's constants and its point check, as_point.
+The module also holds the package's constants and its input checks.
 """
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,6 +80,23 @@ def as_point(value) -> np.ndarray:
     return pt
 
 
+def _count(name: str, value, least: int = 0) -> int:
+    """value as an int of at least least, 0 or 1; operator.index refuses a float, which int() would truncate."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
+    return value
+
+
+def _real(name: str, value, positive: bool = False) -> None:
+    """Refuse value unless it is a finite real number (numpy scalars included), positive or non-negative."""
+    if not (isinstance(value, numbers.Real) and (0 < value if positive else 0 <= value) and value < math.inf):
+        raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'} and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SheepParams:
     """Gains and sensing radius for the sheep update rule."""
@@ -89,11 +108,9 @@ class SheepParams:
     k_flight: float = 500.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.r_s < math.inf:
-            raise ValueError("r_s must be positive and finite")
+        _real("r_s", self.r_s, positive=True)
         for name in ("k_separation", "k_alignment", "k_cohesion", "k_flight"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
+            _real(name, getattr(self, name))
         # The kernel scales its (6, N) neighbourhood means by this column.
         # It is built here, once per params; not a field, so equality,
         # hashing and repr see the gains alone.

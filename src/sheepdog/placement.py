@@ -5,17 +5,14 @@ import math
 
 import numpy as np
 
-from .flock import FlockState, NeighbourList, step_flock
+from .flock import FlockState, NeighbourList, _count, _real, step_flock
 from .scenario import ScenarioConfig, stream_seed
 
 
 def placement_radius(n: int, rho: float) -> float:
     """Radius of the disk that holds n sheep at mean density rho."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    return math.sqrt(n / (math.pi * rho))
+    _real("rho", rho, positive=True)
+    return math.sqrt(_count("n", n, 1) / (math.pi * rho))
 
 
 def initial_placement(config: ScenarioConfig, rng: np.random.Generator) -> FlockState:
@@ -44,10 +41,8 @@ def warmup(state: FlockState, params, steps: int) -> FlockState:
     settled state is rebuilt through the checked constructor, which
     raises if any value turned non-finite on the way.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
     near = NeighbourList()
-    for _ in range(steps):
+    for _ in range(_count("steps", steps)):
         state = step_flock(state, params, near)
     return FlockState(sheep_pos=state.sheep_pos, sheep_vel_prev=state.sheep_vel_prev, dog_pos=state.dog_pos)
 

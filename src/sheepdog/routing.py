@@ -38,6 +38,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .flock import _count
+
 STRATEGIES = ("reverse", "exchange", "jump")
 
 
@@ -97,10 +99,8 @@ class RlsConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be positive, got {self.iterations}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "iterations", _count("iterations", self.iterations, 1))
+        object.__setattr__(self, "seed", _count("seed", self.seed))
 
 
 @dataclass(frozen=True, eq=False)

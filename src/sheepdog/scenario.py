@@ -2,25 +2,13 @@
 from __future__ import annotations
 
 import math
-import operator
 import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dog import DogParams
-from .flock import SheepParams, as_point
-
-
-def _count(name: str, value, least: int = 0) -> int:
-    """value as an int of at least least; operator.index refuses a float, which int() would truncate."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be {f'at least {least}' if least else 'non-negative'}, got {value}")
-    return value
+from .flock import SheepParams, _count, _real, as_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +20,7 @@ class GoalSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", as_point(self.center))
-        if not 0 < self.radius < math.inf:
-            raise ValueError("goal radius must be positive and finite")
+        _real("goal radius", self.radius, positive=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +44,7 @@ class ScenarioConfig:
         object.__setattr__(self, "dog_start", as_point(self.dog_start))
         for name, key, least in (("n_sheep", "N", 1), ("horizon", "T", 0), ("warmup_steps", "warmup_steps", 0)):
             object.__setattr__(self, name, _count(key, getattr(self, name), least))
-        if not 0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite")
+        _real("rho", self.rho, positive=True)
         # rho_key takes rho * 1e10; the placement radius is sqrt(N / (pi * rho)).
         if not (math.isfinite(self.rho * 1e10) and math.isfinite(self.n_sheep / (math.pi * self.rho))):
             raise ValueError(f"rho={self.rho!r} is out of range: rho * 1e10 or sqrt(N / (pi * rho)) is not finite")

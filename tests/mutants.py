@@ -28,6 +28,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "README.md", "pyproject.toml")
 
+# The parametrized test whose rows each name one number check's field.
+NUMBERS = "tests/test_scenario.py::test_each_number_check_names_its_field"
+
 # (file, old text, new text, test ids that must fail)
 MUTANTS = [
     # The tour's first sheep exactly r_d from the dog is already in contact.
@@ -116,6 +119,25 @@ MUTANTS = [
     # The records' shared trace placeholder is read-only.
     ("src/sheepdog/guidance.py", "    dog_trace.setflags(write=False)\n", "",
      ["tests/test_guidance.py::test_unrecorded_run_keeps_everything_but_the_traces"]),
+    # A real parameter is a number: a string or None gets a ValueError, not the comparison's TypeError.
+    ("src/sheepdog/flock.py", "isinstance(value, numbers.Real) and (0 < value", "(0 < value",
+     [f"{NUMBERS}[SheepParams-r_s-str]", f"{NUMBERS}[SheepParams-k_flight-None]", f"{NUMBERS}[DogParams-r_d-str]",
+      f"{NUMBERS}[GoalSpec-radius-str]", f"{NUMBERS}[ScenarioConfig-rho-str]"]),
+    # A search's iteration count is refused, not truncated, when it is not an integer.
+    ("src/sheepdog/routing.py", '_count("iterations", self.iterations, 1)',
+     '_count("iterations", int(self.iterations), 1)', [f"{NUMBERS}[RlsConfig-iterations-float]"]),
+    # So is a trial's, fat-only included.
+    ("src/sheepdog/experiments.py", 'iterations = _count("iterations", iterations, 1)',
+     'iterations = _count("iterations", int(iterations), 1)', [f"{NUMBERS}[run_trial-iterations-float]"]),
+    # And a batch's trial count.
+    ("src/sheepdog/experiments.py", '_count("trials", trials, 1)', '_count("trials", int(trials), 1)',
+     [f"{NUMBERS}[run_batch-trials-float]"]),
+    # And the warm-up's step count.
+    ("src/sheepdog/placement.py", 'range(_count("steps", steps))', 'range(_count("steps", int(steps)))',
+     [f"{NUMBERS}[warmup-steps-float]"]),
+    # A trial refuses a repeated method, which would run twice and report once.
+    ("src/sheepdog/experiments.py", "if len(strategies) < len(methods):", "if False:",
+     ["tests/test_experiments.py::test_trial_rejects_a_repeated_method_before_placement"]),
     # Every table ends its rows with a bare newline.
     ("src/sheepdog/scenario.py", '",".join(row) + "\\n"', '",".join(row) + "\\r\\n"', ["tests/test_golden.py"]),
 ]

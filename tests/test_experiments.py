@@ -195,6 +195,17 @@ def test_trial_rejects_zero_iterations_before_placement(monkeypatch):
         run_trial(tiny_config(), [METHOD_FAT], 0, 0, 0)
 
 
+@pytest.mark.parametrize("methods", [[METHOD_FAT, METHOD_FAT], ["proposed:reverse", METHOD_FAT, "proposed:reverse"]])
+def test_trial_rejects_a_repeated_method_before_placement(monkeypatch, methods):
+    # The records are keyed by method, so a repeat would run two episodes and report one.
+    def no_placement(*args, **kwargs):
+        raise AssertionError("the flock was placed before the trial's methods were checked")
+
+    monkeypatch.setattr(experiments, "prepare_start_state", no_placement)
+    with pytest.raises(ValueError, match=re.escape("given more than once")):
+        run_trial(tiny_config(), methods, 0, 0, 10)
+
+
 def test_trial_rejects_a_negative_trial_before_placement(monkeypatch):
     def no_placement(*args, **kwargs):
         raise AssertionError("the flock was placed before the trial's seed was checked")

@@ -10,6 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheepdog import scenario
+from sheepdog.dog import DogParams
+from sheepdog.experiments import run_batch, run_trial
+from sheepdog.flock import FlockState, SheepParams
+from sheepdog.placement import placement_radius, warmup
+from sheepdog.routing import RlsConfig
 from sheepdog.scenario import (
     GoalSpec,
     ScenarioConfig,
@@ -227,6 +232,45 @@ def test_validation_errors():
     counts = ScenarioConfig(n_sheep=np.int64(20), horizon=np.int32(300), warmup_steps=np.uint8(50))
     assert [(type(v), v) for v in (counts.n_sheep, counts.horizon, counts.warmup_steps)] == [
         (int, 20), (int, 300), (int, 50)]
+
+
+# A small cell, so that a check that let a float through would run its trial quickly.
+_SMALL = ScenarioConfig(n_sheep=3, rho=0.01, horizon=50)
+_STILL = FlockState(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
+
+
+@pytest.mark.parametrize(("field", "call"), [
+    pytest.param("iterations", lambda: RlsConfig("reverse", 50.5, 0), id="RlsConfig-iterations-float"),
+    pytest.param("seed", lambda: RlsConfig("reverse", 50, 0.5), id="RlsConfig-seed-float"),
+    pytest.param("iterations", lambda: RlsConfig("reverse", "5", 0), id="RlsConfig-iterations-str"),
+    pytest.param("iterations", lambda: run_trial(_SMALL, ["fat"], 0, 0, 50.5), id="run_trial-iterations-float"),
+    pytest.param("trials", lambda: run_batch(_SMALL, [(3, 0.0012)], 1.5, [], 0, 10), id="run_batch-trials-float"),
+    pytest.param("steps", lambda: warmup(_STILL, _SMALL.sheep, 2.5), id="warmup-steps-float"),
+    pytest.param("n", lambda: placement_radius(2.5, 0.0012), id="placement_radius-n-float"),
+    pytest.param("rho", lambda: placement_radius(10, math.nan), id="placement_radius-rho-nan"),
+    pytest.param("r_s", lambda: SheepParams(r_s="20"), id="SheepParams-r_s-str"),
+    pytest.param("k_flight", lambda: SheepParams(k_flight=None), id="SheepParams-k_flight-None"),
+    pytest.param("r_d", lambda: DogParams(r_d="30"), id="DogParams-r_d-str"),
+    pytest.param("goal radius", lambda: GoalSpec(np.zeros(2), "20"), id="GoalSpec-radius-str"),
+    pytest.param("rho", lambda: ScenarioConfig(rho="0.0012"), id="ScenarioConfig-rho-str"),
+])
+def test_each_number_check_names_its_field(field, call):
+    # A float count would be truncated or raise a TypeError deep inside, and a
+    # string or None gain or radius would raise the comparison's TypeError,
+    # which names no field.
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        call()
+
+
+def test_numpy_scalars_pass_every_number_check():
+    rls = RlsConfig("reverse", np.int64(50), np.uint64(3))
+    assert [(type(v), v) for v in (rls.iterations, rls.seed)] == [(int, 50), (int, 3)]
+    assert SheepParams(r_s=np.float64(20.0), k_flight=np.float32(500.0)) == SheepParams()
+    assert DogParams(r_d=np.float64(30.0), k_repulsion=np.int64(1000)) == DogParams()
+    assert GoalSpec(np.zeros(2), np.float64(20.0)).radius == 20.0
+    assert ScenarioConfig(rho=np.float64(0.0012)).rho == 0.0012
+    assert placement_radius(np.int64(10), np.float64(0.0012)) == placement_radius(10, 0.0012)
+    assert warmup(_STILL, _SMALL.sheep, np.uint8(2)).sheep_pos.shape == (2, 2)
 
 
 def test_stream_seed_is_pure_and_stream_separated():

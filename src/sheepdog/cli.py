@@ -30,19 +30,18 @@ from .scenario import (NUMBER, ScenarioConfig, apply_assignments, default_scenar
 
 
 def _load_scenario(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = default_scenario()
+    pairs = []
     if args.config is not None:
         try:
-            cfg = parse_config(Path(args.config).read_text())
+            pairs = parse_config(Path(args.config).read_text())
         except (OSError, ValueError) as exc:  # an undecodable file raises UnicodeDecodeError, a ValueError
             raise ValueError(f"bad config {args.config}: {exc}") from exc
-    overrides = []
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"override must look like key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        overrides.append((key.strip(), raw))
-    return apply_assignments(cfg, overrides)
+        pairs.append((key.strip(), raw))
+    return apply_assignments(default_scenario(), pairs)
 
 
 def _key_values(**fields) -> str:

@@ -76,24 +76,6 @@ def _stand_off(params: DogParams, dog: list[float], sheep: list[float]) -> tuple
     return params.k_repulsion * (ux / square), params.k_repulsion * (uy / square)
 
 
-def dog_velocity(
-    state: FlockState,
-    params: DogParams,
-    tracked: int,
-    nearest: int,
-    repel_point: np.ndarray,
-) -> tuple[float, float]:
-    """Drive velocity: chase tracked, stand off nearest, keep clear of repel_point."""
-    dog = state.dog_pos.tolist()
-    tx, ty = state.sheep_pos[tracked].tolist()
-    px, py = repel_point.tolist()
-    ax, ay, _ = _unit(tx - dog[0], ty - dog[1])
-    rx, ry = _stand_off(params, dog, state.sheep_pos[nearest].tolist())
-    gx, gy, _ = _unit(dog[0] - px, dog[1] - py)
-    ka, kg = params.k_attraction, params.k_goal_repulsion
-    return ka * ax + rx + kg * gx, ka * ay + ry + kg * gy
-
-
 def approach_velocity(
     state: FlockState, params: DogParams, target: np.ndarray, to_dog: np.ndarray
 ) -> tuple[float, float]:
@@ -127,4 +109,11 @@ def steering_command(
     """
     tracked = _pick(to_destination, idx, True)
     nearest = _pick(to_dog, idx, False)
-    return dog_velocity(state, params, tracked, nearest, destination)
+    dog = state.dog_pos.tolist()
+    tx, ty = state.sheep_pos[tracked].tolist()
+    px, py = destination.tolist()
+    ax, ay, _ = _unit(tx - dog[0], ty - dog[1])
+    rx, ry = _stand_off(params, dog, state.sheep_pos[nearest].tolist())
+    gx, gy, _ = _unit(dog[0] - px, dog[1] - py)
+    ka, kg = params.k_attraction, params.k_goal_repulsion
+    return ka * ax + rx + kg * gx, ka * ay + ry + kg * gy

@@ -93,7 +93,11 @@ def _count(name: str, value, least: int = 0) -> int:
 
 def _real(name: str, value, positive: bool = False) -> None:
     """Refuse value unless it is a finite real number (numpy scalars included), positive or non-negative."""
-    if not (isinstance(value, numbers.Real) and (0 < value if positive else 0 <= value) and value < math.inf):
+    try:
+        ok = isinstance(value, numbers.Real) and (0 < value if positive else 0 <= value) and float(value) < math.inf
+    except OverflowError:  # an int past the largest float, which compares below inf
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be {'positive' if positive else 'non-negative'} and finite, got {value!r}")
 
 

@@ -254,10 +254,6 @@ def _first_hit(deltas, table: np.ndarray, path: list[int], a: np.ndarray, b: np.
     return a.size
 
 
-def random_tour(n: int, rng: np.random.Generator) -> Tour:
-    return Tour(rng.permutation(n))
-
-
 # Entered once per search, not per _first_hit call: a window's sums near the largest
 # float overflow to inf, and inf - inf is nan, as in the scalar deltas; only numpy would warn of it.
 @np.errstate(over="ignore", invalid="ignore")
@@ -268,7 +264,7 @@ def rls_optimize(instance: TourInstance, config: RlsConfig) -> RlsResult:
     uniformly from the seeded stream.
     """
     rng = np.random.default_rng(config.seed)
-    initial = random_tour(instance.n, rng)
+    initial = Tour(rng.permutation(instance.n))
 
     # Windows read the array; the scalar scan reads the same floats as lists.
     table_array = _distance_table(instance)
@@ -288,20 +284,16 @@ def rls_optimize(instance: TourInstance, config: RlsConfig) -> RlsResult:
     costs = [cost]
     if n >= 2:
         margin = _REJECT_MARGIN * cost
-        quiet = 0  # how many of the latest candidates in a row scored above the margin
+        last = -1  # the latest candidate that scored at or under the margin
         pairs_a, pairs_b = _drawn_positions(rng, n, config.iterations)
         i = 0
         while i < config.iterations:
-            if quiet >= _WINDOW_AFTER:
+            if i - last > _WINDOW_AFTER:
                 i = _first_hit(deltas, table_array, path, pairs_a, pairs_b, i, margin)
-                if i == config.iterations:
-                    break
-                # The scalar stretch below scores the hit again; quiet
-                # counts from just before it, so the stretch runs on
-                # _WINDOW_AFTER candidates past the hit.
-                quiet = -1
-            stop = min(config.iterations, i + _WINDOW_AFTER - quiet)
-            last = i - 1 - quiet  # index of the latest hit
+                # The scalar stretch below scores the hit again, and runs on
+                # _WINDOW_AFTER candidates past it; it is empty when no pair hit.
+                last = i
+            stop = min(config.iterations, last + 1 + _WINDOW_AFTER)
             for j, a, b in zip(range(i, stop), pairs_a[i:stop].tolist(), pairs_b[i:stop].tolist()):
                 if delta(table, path, edges, a, b) <= margin:
                     last = j
@@ -317,7 +309,6 @@ def rls_optimize(instance: TourInstance, config: RlsConfig) -> RlsResult:
                         margin = _REJECT_MARGIN * cost
                         accepted_at.append(j)
                         costs.append(cost)
-            quiet = stop - 1 - last
             i = stop
 
     trace = np.repeat(costs, np.diff([*accepted_at, config.iterations]))

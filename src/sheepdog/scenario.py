@@ -118,8 +118,8 @@ def apply_assignments(cfg: ScenarioConfig, pairs: list[tuple[str, str]]) -> Scen
     return replace(cfg, **top, **{head: replace(getattr(cfg, head), **fields) for (head,), fields in groups.items()})
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse key=value lines; everything from a '#' on and blank lines are ignored."""
+def parse_config(text: str) -> list[tuple[str, str]]:
+    """Key=value lines as (key, raw) pairs; skips '#' comments and blank lines, refuses unknown or repeated keys."""
     pairs: list[tuple[str, str]] = []
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -130,11 +130,13 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
         pairs.append((key, raw))
-    return apply_assignments(default_scenario(), pairs)
+    return pairs
 
 
 def rho_key(rho: float) -> int:

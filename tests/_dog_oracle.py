@@ -1,13 +1,14 @@
 """Vector reference for the dog's steering laws, kept for tests only.
 
 These are the drive and approach laws written on numpy 2-vectors with
-`safe_unit` and `clamped_norm`; `dog.steering_command`,
-`dog.dog_velocity` and `dog.approach_velocity` must reproduce them bit
-for bit. `candidate_index`, `distances_to`, `select`, `farthest_from`
-and `nearest_to_dog` are not references: they build the index array
-`steering_command` takes, measure with `_flock_oracle.offsets` and
-call the package's own selection, so tests can pick the sheep that
-`steering_command` steers by and hand the laws their distance rows.
+`safe_unit` and `clamped_norm`; `dog.steering_command` and
+`dog.approach_velocity` must reproduce them bit for bit.
+`candidate_index`, `distances_to`, `select`, `farthest_from`,
+`nearest_to_dog` and `drive_with_picks` are not references: they build
+the index array `steering_command` takes, measure with
+`_flock_oracle.offsets`, call the package's own selection, and hand
+`steering_command` rows that fix its picks, so tests can pick the sheep
+that `steering_command` steers by and hand the laws their distance rows.
 
 `batched_drive` and `batched_approach` are the laws on `(B,)` arrays, B
 episodes of N sheep each, written as a lockstep engine would run them:
@@ -22,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from _flock_oracle import offsets
-from sheepdog.dog import DogParams, _pick
+from sheepdog.dog import DogParams, _pick, steering_command
 from sheepdog.flock import EPS, UNIT_X, FlockState
 
 
@@ -51,6 +52,16 @@ def farthest_from(point: np.ndarray, candidates: Iterable[int], state: FlockStat
 def nearest_to_dog(candidates: Iterable[int], state: FlockState) -> int:
     """Candidate sheep nearest the dog; ties go to the smallest index."""
     return select(state, candidate_index(candidates, state.n), state.dog_pos, False)
+
+
+def drive_with_picks(state: FlockState, params: DogParams, tracked: int, nearest: int,
+                     repel_point) -> tuple[float, float]:
+    """`steering_command` over every sheep, handed a row from the destination whose only
+    maximum is at tracked and a row from the dog whose only minimum is at nearest: the drive
+    that chases tracked, stands off nearest and keeps clear of repel_point."""
+    to_dog, to_destination = np.zeros(state.n), np.zeros(state.n)
+    to_dog[nearest], to_destination[tracked] = -1.0, 1.0
+    return steering_command(state, params, None, np.asarray(repel_point, dtype=float), to_dog, to_destination)
 
 
 def safe_unit(v: np.ndarray) -> np.ndarray:

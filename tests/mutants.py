@@ -140,6 +140,18 @@ MUTANTS = [
      ["tests/test_experiments.py::test_trial_rejects_a_repeated_method_before_placement"]),
     # Every table ends its rows with a bare newline.
     ("src/sheepdog/scenario.py", '",".join(row) + "\\n"', '",".join(row) + "\\r\\n"', ["tests/test_golden.py"]),
+    # After a window's hit the scalar stretch scores that hit, so the next window starts past it.
+    ("src/sheepdog/routing.py", "                last = i\n", "                last = i - 1\n",
+     [f"tests/test_routing.py::test_a_windowed_scan_moves_past_each_hit[{s}]" for s in ("reverse", "exchange", "jump")]),
+    # An int past the largest float is refused, not passed on as an OverflowError.
+    ("src/sheepdog/flock.py", "    except OverflowError:  # an int past the largest float",
+     "    except ():  # an int past the largest float",
+     [f"{NUMBERS}[ScenarioConfig-rho-int-past-float]", f"{NUMBERS}[SheepParams-k_flight-int-past-float]"]),
+    # The config file's values are checked only once the --set pairs are applied over them.
+    ("src/sheepdog/cli.py", "            pairs = parse_config(Path(args.config).read_text())\n",
+     "            pairs = parse_config(Path(args.config).read_text())\n"
+     "            apply_assignments(default_scenario(), pairs)\n",
+     ["tests/test_cli.py::test_a_config_file_is_checked_once_its_overrides_are_applied"]),
 ]
 
 

@@ -11,15 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from _dog_oracle import farthest_from, nearest_to_dog
+from _dog_oracle import drive_with_picks, farthest_from, nearest_to_dog
 from _recorder import run_recorded
 from _routing_oracle import brute_force_tour, mutate
 from sheepdog.cli import run_cli
-from sheepdog.dog import DogParams, dog_velocity
+from sheepdog.dog import DogParams
 from sheepdog.experiments import run_batch, run_trial
 from sheepdog.flock import FlockState, SheepParams, step_flock
 from sheepdog.placement import initial_placement, placement_radius, prepare_start_state
-from sheepdog.routing import STRATEGIES, RlsConfig, TourInstance, random_tour, rls_optimize
+from sheepdog.routing import STRATEGIES, RlsConfig, Tour, TourInstance, rls_optimize
 from sheepdog.scenario import ScenarioConfig
 
 
@@ -240,7 +240,7 @@ def test_criterion7_mutations_always_yield_permutations():
     rng = np.random.default_rng(77)
     for strategy in STRATEGIES:
         for n in (2, 3, 5, 8, 12):
-            tour = random_tour(n, rng)
+            tour = Tour(rng.permutation(n))
             target = list(range(n))
             for _ in range(20_000):
                 tour = mutate(tour, strategy, rng)
@@ -294,8 +294,8 @@ def test_criterion7_isometries_commute_with_the_dynamics():
         goal = rng.uniform(-50.0, 50.0, 2)
         tracked = farthest_from(goal, everyone, state)
         nearest = nearest_to_dog(everyone, state)
-        velocity = dog_velocity(state, dog_params, tracked, nearest, goal)
-        velocity_moved = dog_velocity(moved, dog_params, tracked, nearest, goal @ rot.T + shift)
+        velocity = drive_with_picks(state, dog_params, tracked, nearest, goal)
+        velocity_moved = drive_with_picks(moved, dog_params, tracked, nearest, goal @ rot.T + shift)
         assert np.allclose(velocity_moved, velocity @ rot.T, atol=1e-9)
 
 

@@ -82,6 +82,19 @@ def test_plan_reads_config_file_with_overrides(tmp_path):
     assert (out / "tour.txt").read_text() == "1\n"
 
 
+def test_a_config_file_is_checked_once_its_overrides_are_applied(tmp_path, capsys):
+    # The file's goal and dog start are too far apart for their distance to be
+    # finite; --set moves the dog back, and only the final values are checked.
+    cfg_path = tmp_path / "far.cfg"
+    cfg_path.write_text("x_g = 1e308,0\nx_d0 = -1e308,0\n")
+    argv = ["plan", "--iterations", "10", "--config", str(cfg_path)]
+    assert run_cli([*argv, "--set", "x_d0=-30,50", "--out", str(tmp_path / "near")]) == 0
+    assert (tmp_path / "near" / "tour.txt").exists()
+    assert run_cli([*argv, "--out", str(tmp_path / "far")]) == 2
+    assert "their distance is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "far").exists()
+
+
 # -------------------------------------------------------------------- simulate
 
 @pytest.fixture(scope="module", params=["fat", "proposed:reverse"])

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _dog_oracle as oracle
-from _dog_oracle import farthest_from, nearest_to_dog
-from sheepdog.dog import DogParams, approach_velocity, dog_velocity, steering_command
+from _dog_oracle import drive_with_picks, farthest_from, nearest_to_dog
+from sheepdog.dog import DogParams, approach_velocity, steering_command
 from sheepdog.flock import EPS, FlockState
 
 DEFAULTS = DogParams()
@@ -87,14 +87,14 @@ def test_selection_invariant_under_uniform_scaling():
 def test_dog_velocity_hand_value():
     # Attraction down, close-range repulsion up, goal repulsion up: (0, 4.5).
     state = make_state([[0.0, 0.0]], [0.0, 10.0])
-    v = dog_velocity(state, DEFAULTS, tracked=0, nearest=0, repel_point=np.array([0.0, -10.0]))
+    v = drive_with_picks(state, DEFAULTS, tracked=0, nearest=0, repel_point=np.array([0.0, -10.0]))
     assert np.allclose(v, [0.0, 4.5], atol=1e-12)
 
 
 def test_dog_velocity_zero_gains():
     state = make_state([[0.0, 0.0]], [0.0, 10.0])
     params = DogParams(k_attraction=0.0, k_repulsion=0.0, k_goal_repulsion=0.0)
-    v = dog_velocity(state, params, tracked=0, nearest=0, repel_point=np.array([0.0, -10.0]))
+    v = drive_with_picks(state, params, tracked=0, nearest=0, repel_point=np.array([0.0, -10.0]))
     assert np.array_equal(v, np.zeros(2))
 
 
@@ -102,8 +102,8 @@ def test_dog_velocity_mirror_equivariance():
     state = make_state([[3.0, 1.0], [-2.0, 4.0]], [1.0, 7.0])
     mirrored = make_state(state.sheep_pos * [-1.0, 1.0], state.dog_pos * [-1.0, 1.0])
     repel = np.array([2.0, -5.0])
-    v = dog_velocity(state, DEFAULTS, 0, 1, repel)
-    v_m = dog_velocity(mirrored, DEFAULTS, 0, 1, repel * [-1.0, 1.0])
+    v = drive_with_picks(state, DEFAULTS, 0, 1, repel)
+    v_m = drive_with_picks(mirrored, DEFAULTS, 0, 1, repel * [-1.0, 1.0])
     assert np.allclose(v_m, np.array(v) * [-1.0, 1.0], atol=1e-12)
 
 
@@ -118,8 +118,8 @@ def test_dog_velocity_rigid_motion_equivariance():
         shift = rng.uniform(-30, 30, 2)
         moved = make_state(state.sheep_pos @ rot.T + shift, state.dog_pos @ rot.T + shift)
         tracked, nearest = 0, n - 1
-        v = dog_velocity(state, DEFAULTS, tracked, nearest, repel)
-        v_m = dog_velocity(moved, DEFAULTS, tracked, nearest, repel @ rot.T + shift)
+        v = drive_with_picks(state, DEFAULTS, tracked, nearest, repel)
+        v_m = drive_with_picks(moved, DEFAULTS, tracked, nearest, repel @ rot.T + shift)
         assert np.allclose(v_m, v @ rot.T, atol=1e-9)
 
 
@@ -157,7 +157,7 @@ def test_steering_command_composes_selection_and_velocity():
     idx = np.arange(6)
     assert oracle.select(state, idx, goal.tolist(), True) == tracked
     assert oracle.select(state, idx, state.dog_pos.tolist(), False) == nearest
-    expected = dog_velocity(state, DEFAULTS, tracked, nearest, goal)
+    expected = drive_with_picks(state, DEFAULTS, tracked, nearest, goal)
     assert np.array(v).tobytes() == np.array(expected).tobytes()
     # The explicit array of every index steers as None does.
     assert np.array(steering_command(state, DEFAULTS, idx, goal, *rows)).tobytes() == np.array(v).tobytes()
@@ -218,7 +218,7 @@ def test_steering_laws_are_bitwise_the_vector_oracle(case):
     rows = to_dog(state), oracle.distances_to(state, destination)
     assert np.array(steering_command(state, params, checked, destination, *rows)).tobytes() == v_ref.tobytes()
     assert (
-        np.array(dog_velocity(state, params, tracked, nearest, destination)).tobytes()
+        np.array(drive_with_picks(state, params, tracked, nearest, destination)).tobytes()
         == oracle.dog_velocity(state, params, tracked, nearest, destination).tobytes()
     )
     assert (
@@ -232,7 +232,7 @@ def test_huge_distances_overflow_like_the_vector_oracle():
         with np.errstate(over="ignore", invalid="ignore"):
             approach = approach_velocity(state, DEFAULTS, np.zeros(2), to_dog(state))
             approach_ref = oracle.approach_velocity(state, DEFAULTS, np.zeros(2))
-            drive = dog_velocity(state, DEFAULTS, 0, 0, np.zeros(2))
+            drive = drive_with_picks(state, DEFAULTS, 0, 0, np.zeros(2))
             drive_ref = oracle.dog_velocity(state, DEFAULTS, 0, 0, np.zeros(2))
         assert np.array(approach).tobytes() == approach_ref.tobytes()
         assert np.array(drive).tobytes() == drive_ref.tobytes()

@@ -9,11 +9,10 @@ from dataclasses import replace
 from hypothesis import assume, given, settings, strategies as st
 
 import _dog_oracle as dog_oracle
-from _dog_oracle import farthest_from, nearest_to_dog
+from _dog_oracle import drive_with_picks, farthest_from, nearest_to_dog
 from _flock_oracle import dense_flock_velocities, offsets
 from _recorder import Recorder, has_placeholder_traces, run_recorded
 from sheepdog import flock, guidance
-from sheepdog.dog import dog_velocity
 from sheepdog.flock import FlockState, SheepParams, flock_velocities
 from sheepdog.guidance import (
     GuidanceMode,
@@ -435,7 +434,7 @@ def test_fat_trace_matches_manual_stepping():
     for _ in range(10):
         tracked = farthest_from(cfg.goal.center, everyone, state)
         nearest = nearest_to_dog(everyone, state)
-        v_dog = dog_velocity(state, cfg.dog, tracked, nearest, cfg.goal.center)
+        v_dog = drive_with_picks(state, cfg.dog, tracked, nearest, cfg.goal.center)
         v_sheep = flock_velocities(state, cfg.sheep)
         state = FlockState(
             sheep_pos=state.sheep_pos + v_sheep,

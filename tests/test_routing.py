@@ -27,7 +27,6 @@ from sheepdog.routing import (
     RlsConfig,
     Tour,
     TourInstance,
-    random_tour,
     rls_optimize,
 )
 
@@ -88,7 +87,7 @@ def test_tour_cost_at_least_every_leg():
     for _ in range(50):
         n = int(rng.integers(1, 8))
         inst = box_instance(rng, n)
-        tour = random_tour(n, rng)
+        tour = Tour(rng.permutation(n))
         cost = tour_cost(tour, inst)
         pts = [inst.dog_start] + [inst.sheep_start[i] for i in tour.order] + [inst.goal]
         legs = [float(np.linalg.norm(q - p)) for p, q in zip(pts, pts[1:])]
@@ -121,7 +120,7 @@ def test_reverse_and_exchange_are_involutions():
 def test_mutate_preserves_permutations_under_fuzzing():
     rng = np.random.default_rng(19)
     for strategy in STRATEGIES:
-        tour = random_tour(12, rng)
+        tour = Tour(rng.permutation(12))
         for _ in range(2000):
             tour = mutate(tour, strategy, rng)
             assert sorted(tour.order) == list(range(12))
@@ -142,7 +141,7 @@ def test_mutate_rejects_unknown_strategy():
 
 def test_mutate_leaves_input_untouched():
     rng = np.random.default_rng(2)
-    tour = random_tour(8, rng)
+    tour = Tour(rng.permutation(8))
     before = tour.order
     for strategy in STRATEGIES:
         mutate(tour, strategy, rng)
@@ -227,7 +226,7 @@ def test_rls_hits_exact_optimum_on_tiny_instances(strategy):
 def _reference_rls(instance, config):
     """RLS that re-sums the full path of every candidate, one draw at a time."""
     rng = np.random.default_rng(config.seed)
-    initial = random_tour(instance.n, rng)
+    initial = Tour(rng.permutation(instance.n))
     table = _distance_table(instance).tolist()
     tour = initial
     cost = _path_cost(table, tour.order)
@@ -359,6 +358,27 @@ def test_windowed_and_scalar_scans_match_full_resum_oracle(lattice, scale, strat
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_windowed_scan_moves_past_each_hit(strategy):
+    # With windows after every hit, a scan that went back to a window from
+    # the same start would never end; here that second call fails at once.
+    starts = []
+    first_hit = routing._first_hit
+
+    def advancing(deltas, table, path, a, b, start, margin):
+        assert not starts or start > starts[-1], f"window scan entered again from {start} after {starts}"
+        starts.append(start)
+        return first_hit(deltas, table, path, a, b, start, margin)
+
+    instance = box_instance(np.random.default_rng(3), 12)
+    config = RlsConfig(strategy, 2000, seed=4)
+    with mock.patch.object(routing, "_WINDOW_AFTER", ALWAYS_WINDOWS):
+        with mock.patch.object(routing, "_first_hit", advancing):
+            res = rls_optimize(instance, config)
+    assert len(starts) > 1
+    assert res.cost_trace.tobytes() == _reference_rls(instance, config)[2].tobytes()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_windows_over_two_clusters_a_largest_float_apart(strategy):
     # Every leg between the clusters is 1.6e308, so a path that crosses
     # twice costs inf and a move's cost change can be inf - inf.
@@ -429,7 +449,7 @@ def test_cost_change_equals_full_path_difference(strategy):
         make = box_instance if rng.random() < 0.5 else lattice_instance
         inst = make(rng, n)
         table = _distance_table(inst).tolist()
-        order = random_tour(n, rng).order
+        order = Tour(rng.permutation(n)).order
         a, b = sorted(int(i) for i in rng.choice(n, size=2, replace=False))
         path = [0, *(i + 1 for i in order), n + 1]
         cost = _path_cost(table, order)
@@ -447,7 +467,7 @@ def test_changed_edges_and_in_place_move_are_the_tuple_move(strategy):
     for n in (2, 3, 4, 9, 16):
         for make in (box_instance, lattice_instance):
             table = _distance_table(make(rng, n)).tolist()
-            order = random_tour(n, rng).order
+            order = Tour(rng.permutation(n)).order
             path = [0, *(i + 1 for i in order), n + 1]
             edges = path_edges(table, path)
             for a, b in itertools.combinations(range(n), 2):

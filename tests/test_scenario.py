@@ -41,6 +41,11 @@ def dump_config(cfg: ScenarioConfig) -> str:
     )
 
 
+def load_config(text: str) -> ScenarioConfig:
+    """The scenario a config file's text gives, its pairs applied over the defaults as the CLI applies them."""
+    return apply_assignments(default_scenario(), parse_config(text))
+
+
 def test_defaults_match_reference_parameter_set():
     cfg = default_scenario()
     assert cfg.n_sheep == 20
@@ -64,7 +69,7 @@ def test_defaults_match_reference_parameter_set():
 def test_dump_parse_round_trip():
     cfg = ScenarioConfig(n_sheep=7, rho=0.0008, horizon=123, warmup_steps=9)
     text = dump_config(cfg)
-    back = parse_config(text)
+    back = load_config(text)
     assert dump_config(back) == text
     assert back.n_sheep == 7
     assert back.rho == pytest.approx(0.0008)
@@ -144,18 +149,18 @@ def test_dump_parse_round_trip_over_every_key(values):
     text = dump_config(cfg)
     # Every key prints the value assigned to it, in table order.
     assert text == "".join(f"{key} = {_printed(values[key])}\n" for key in keys)
-    assert dump_config(parse_config(text)) == text
+    assert dump_config(load_config(text)) == text
 
 
 def test_parse_ignores_comments_and_blank_lines():
-    cfg = parse_config("# a comment\n\nN = 4\nrho = 0.001  # inline, = and all\n")
+    cfg = load_config("# a comment\n\nN = 4\nrho = 0.001  # inline, = and all\n")
     assert cfg.n_sheep == 4
     assert cfg.rho == pytest.approx(0.001)
     assert cfg.goal.radius == 20.0  # untouched default
     # The README's commented defaults block is itself a valid config file.
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Defaults, which are also the reference parameter set:")[1].split("```")[1]
-    assert dump_config(parse_config(block)) == dump_config(default_scenario())
+    assert dump_config(load_config(block)) == dump_config(default_scenario())
 
 
 def test_parse_rejects_unknown_and_duplicate_keys():
@@ -169,11 +174,11 @@ def test_parse_rejects_unknown_and_duplicate_keys():
 
 def test_parse_rejects_malformed_values():
     with pytest.raises(ValueError):
-        parse_config("N = many\n")
+        load_config("N = many\n")
     with pytest.raises(ValueError):
-        parse_config("x_g = 1\n")
+        load_config("x_g = 1\n")
     with pytest.raises(ValueError):
-        parse_config("x_g = 1,2,3\n")
+        load_config("x_g = 1,2,3\n")
 
 
 def test_apply_assignments_overrides_individual_keys():
@@ -253,6 +258,9 @@ _STILL = FlockState(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
     pytest.param("r_d", lambda: DogParams(r_d="30"), id="DogParams-r_d-str"),
     pytest.param("goal radius", lambda: GoalSpec(np.zeros(2), "20"), id="GoalSpec-radius-str"),
     pytest.param("rho", lambda: ScenarioConfig(rho="0.0012"), id="ScenarioConfig-rho-str"),
+    # An int past the largest float compares below inf, but float() of it overflows.
+    pytest.param("rho", lambda: ScenarioConfig(rho=10**400), id="ScenarioConfig-rho-int-past-float"),
+    pytest.param("k_flight", lambda: SheepParams(k_flight=10**400), id="SheepParams-k_flight-int-past-float"),
 ])
 def test_each_number_check_names_its_field(field, call):
     # A float count would be truncated or raise a TypeError deep inside, and a
